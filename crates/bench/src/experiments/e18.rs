@@ -24,12 +24,11 @@ use crate::spans;
 use analysis::online::{classify, DetectorConfig, Finding};
 use analysis::table::fmt_count;
 use analysis::Table;
-use limit::{LimitReader, LogMode, StreamConfig};
+use limit::{LimitReader, LogMode, SessionBuilder, StreamConfig};
 use sim_cpu::EventKind;
-use sim_os::KernelConfig;
 use telemetry::{run_streaming, Collector, Snapshot};
-use whatif::{run_whatif, WhatifConfig, WhatifReport, Workload};
-use workloads::{logstore, mysqld};
+use whatif::{run_whatif, WhatifConfig, WhatifReport};
+use workloads::Spec;
 
 /// Counters the classification runs attach (mirrors `monitor`).
 const EVENTS: [EventKind; 3] = [
@@ -94,38 +93,24 @@ fn classify_final(
     Ok((findings, snap))
 }
 
-fn logstore_findings(commits: u64) -> Result<(Vec<Finding>, Snapshot), String> {
-    let cfg = logstore::LogstoreConfig {
-        commits_per_thread: commits,
-        mode: LogMode::Stream(StreamConfig::dropping(256)),
-        ..Default::default()
-    };
+/// Streams the named workload (4 threads on 4 cores, `per_thread` work
+/// items each) and classifies its final snapshot.
+fn stream_findings(workload: &str, per_thread: u64) -> Result<(Vec<Finding>, Snapshot), String> {
+    const THREADS: usize = 4;
+    let mode = LogMode::Stream(StreamConfig::dropping(256));
     let reader = LimitReader::with_events(EVENTS.to_vec());
-    let (mut session, _) =
-        logstore::build(&cfg, &reader, cfg.threads, &EVENTS, KernelConfig::default())
-            .map_err(|e| e.to_string())?;
-    classify_final(&mut session, cfg.threads)
-}
-
-fn mysqld_findings(queries: u64) -> Result<Vec<Finding>, String> {
-    let cfg = mysqld::MysqlConfig {
-        threads: 4,
-        queries_per_thread: queries,
-        mode: LogMode::Stream(StreamConfig::dropping(256)),
-        ..Default::default()
-    };
-    let reader = LimitReader::with_events(EVENTS.to_vec());
-    let (mut session, _) =
-        mysqld::build(&cfg, &reader, cfg.threads, &EVENTS, KernelConfig::default())
-            .map_err(|e| e.to_string())?;
-    Ok(classify_final(&mut session, cfg.threads)?.0)
+    let mut session = Spec::parse(workload)
+        .and_then(|spec| spec.with_shape(THREADS, per_thread, None, mode))
+        .and_then(|spec| spec.build(&reader, &EVENTS, SessionBuilder::new(THREADS)))
+        .map_err(|e| e.to_string())?;
+    classify_final(&mut session, THREADS)
 }
 
 /// Runs both shapes and checks the I/O observability contract.
 pub fn run(commits: u64, jobs: usize) -> Result<E18Result, String> {
     // Causal path: perturb every knob, expect fsync-latency on top for
     // the commit region.
-    let mut wcfg = WhatifConfig::new(Workload::Logstore);
+    let mut wcfg = WhatifConfig::new(Spec::Logstore(Default::default()));
     wcfg.queries = commits;
     wcfg.jobs = jobs;
     let span = spans::start("e18/whatif");
@@ -134,10 +119,10 @@ pub fn run(commits: u64, jobs: usize) -> Result<E18Result, String> {
 
     // Observational path: stream both workloads and classify.
     let span = spans::start("e18/classify-logstore");
-    let (ls_findings, ls_snap) = logstore_findings(commits)?;
+    let (ls_findings, ls_snap) = stream_findings("logstore", commits)?;
     span.finish();
     let span = spans::start("e18/classify-mysqld");
-    let my_findings = mysqld_findings(100)?;
+    let my_findings = stream_findings("mysqld", 100)?.0;
     span.finish();
 
     let mut checks = Vec::new();

@@ -4,7 +4,6 @@
 //! underlying simulator.
 
 pub mod experiments;
-pub mod json;
 pub mod spans;
 
 /// Re-export of the bounded worker pool, which moved to `sim_core::parallel`

@@ -28,15 +28,15 @@ use crate::arrival::{arrival_times, ArrivalConfig};
 use crate::queue::{simulate, QueueOutcome};
 use analysis::online::{classify, DetectorConfig, Finding};
 use analysis::{classify_fleet, FleetFinding};
-use limit::{LimitReader, LogMode, StreamConfig, WarnSink};
+use limit::{LimitReader, LogMode, SessionBuilder, StreamConfig, WarnSink};
 use sim_core::parallel::parmap_with;
 use sim_core::DetRng;
 use sim_cpu::EventKind;
-use sim_os::KernelConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use telemetry::{run_streaming, Collector, Snapshot};
-use workloads::{memcached, mysqld, proxy};
+use workloads::mysqld::MysqlConfig;
+use workloads::Spec;
 
 /// Counters every fleet instance attaches (same trio as the single-
 /// instance monitor: cycles rank regions, instructions + LLC misses feed
@@ -50,54 +50,19 @@ pub const EVENTS: [EventKind; 3] = [
 /// Column names matching [`EVENTS`].
 pub const EVENT_NAMES: [&str; 3] = ["cycles", "instrs", "llc"];
 
-/// Workloads the fleet can run per instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workload {
-    /// The MySQL-like storage-engine skeleton (lock-heavy).
-    Mysqld,
-    /// The memcached-like striped hash cache (memory-heavy).
-    Memcached,
-    /// The scatter-gather fan-out proxy (network-I/O-heavy; its final
-    /// snapshots carry per-device wait stats, so a proxy fleet exercises
-    /// the io path of the hierarchical roll-up).
-    Proxy,
-}
-
-impl std::str::FromStr for Workload {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "mysqld" => Ok(Workload::Mysqld),
-            "memcached" => Ok(Workload::Memcached),
-            "proxy" => Ok(Workload::Proxy),
-            other => Err(format!(
-                "unknown workload {other:?} (mysqld|memcached|proxy)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Workload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Workload::Mysqld => "mysqld",
-            Workload::Memcached => "memcached",
-            Workload::Proxy => "proxy",
-        })
-    }
-}
-
 /// Fleet parameters (all have CLI flags on `limit-repro fleet`).
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Per-instance workload.
-    pub workload: Workload,
+    /// Per-instance workload, with its own configuration. Threads,
+    /// per-thread work, the instance seed and the stream mode are set per
+    /// instance from the fields below.
+    pub workload: Spec,
     /// Number of independent instances.
     pub instances: usize,
     /// Guest worker threads per instance.
     pub threads: usize,
-    /// Queries (mysqld) / operations (memcached) / requests (proxy) per
-    /// guest worker.
+    /// Queries (mysqld) / operations (memcached) / commits (logstore) /
+    /// requests (proxy) per guest worker.
     pub queries: u64,
     /// Open-loop load: arrival process and target rate.
     pub arrival: ArrivalConfig,
@@ -118,7 +83,7 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            workload: Workload::Mysqld,
+            workload: Spec::Mysqld(MysqlConfig::small_footprint()),
             instances: 32,
             threads: 4,
             queries: 25,
@@ -153,7 +118,17 @@ impl FleetConfig {
         if self.arrival.rate_per_mcycle <= 0.0 {
             return Err("--arrival-rate must be positive".into());
         }
+        // Reject a workload without stream exits before any instance runs.
+        self.workload
+            .clone()
+            .with_shape(self.threads, self.queries, None, self.mode())
+            .map_err(|e| e.to_string())?;
         Ok(())
+    }
+
+    /// Every instance streams telemetry through rings of `capacity`.
+    fn mode(&self) -> LogMode {
+        LogMode::Stream(StreamConfig::dropping(self.capacity))
     }
 
     /// Node chunk width: instances `[k·w, (k+1)·w)` form node aggregate
@@ -268,57 +243,14 @@ pub fn draw_arrivals(cfg: &FleetConfig) -> Vec<u64> {
 fn run_instance(cfg: &FleetConfig, index: usize) -> Result<InstanceResult, String> {
     let seed = instance_seed(cfg.seed, index as u64);
     let fail = |e: sim_core::SimError| format!("instance {index}: {e}");
-    let mode = LogMode::Stream(StreamConfig::dropping(cfg.capacity));
     let reader = LimitReader::with_events(EVENTS.to_vec());
-    let cores = cfg.threads.clamp(1, 8);
-    let mut session = match cfg.workload {
-        Workload::Mysqld => {
-            // Fleet instances keep a small guest-memory footprint: the
-            // single-instance defaults (4 MiB buffer pool, 4 MiB of
-            // tables) make *allocation* dominate a short session's wall
-            // time, and thousands of those zeroing passes are pure
-            // memory-bandwidth — the one resource host workers cannot
-            // scale. The lock topology (the thing the fleet classifier
-            // measures) is unchanged.
-            let wcfg = mysqld::MysqlConfig {
-                threads: cfg.threads,
-                queries_per_thread: cfg.queries,
-                tables: 4,
-                table_bytes: 16 * 1024,
-                bufpool_bytes: 256 * 1024,
-                seed,
-                mode,
-                ..Default::default()
-            };
-            mysqld::build(&wcfg, &reader, cores, &EVENTS, KernelConfig::default())
-                .map_err(fail)?
-                .0
-        }
-        Workload::Memcached => {
-            let wcfg = memcached::MemcachedConfig {
-                workers: cfg.threads,
-                ops_per_worker: cfg.queries,
-                seed,
-                mode,
-                ..Default::default()
-            };
-            memcached::build(&wcfg, &reader, cores, &EVENTS, KernelConfig::default())
-                .map_err(fail)?
-                .0
-        }
-        Workload::Proxy => {
-            let wcfg = proxy::ProxyConfig {
-                threads: cfg.threads,
-                requests_per_thread: cfg.queries,
-                seed,
-                mode,
-                ..Default::default()
-            };
-            proxy::build(&wcfg, &reader, cores, &EVENTS, KernelConfig::default())
-                .map_err(fail)?
-                .0
-        }
-    };
+    let builder = SessionBuilder::new(cfg.threads.clamp(1, 8));
+    let mut session = cfg
+        .workload
+        .clone()
+        .with_shape(cfg.threads, cfg.queries, Some(seed), cfg.mode())
+        .and_then(|spec| spec.build(&reader, &EVENTS, builder))
+        .map_err(fail)?;
 
     // Serialize teardown warnings: N instances sharing stderr would
     // interleave lines; the sink keeps them per instance instead.
@@ -501,7 +433,7 @@ mod tests {
     #[test]
     fn memcached_fleet_runs_too() {
         let cfg = FleetConfig {
-            workload: Workload::Memcached,
+            workload: Spec::parse("memcached").unwrap(),
             instances: 3,
             threads: 2,
             queries: 20,
@@ -517,7 +449,7 @@ mod tests {
     #[test]
     fn proxy_fleet_rolls_up_io_stats() {
         let cfg = FleetConfig {
-            workload: Workload::Proxy,
+            workload: Spec::parse("proxy").unwrap(),
             instances: 3,
             threads: 2,
             queries: 8,

@@ -11,7 +11,7 @@
 use crate::{locks, prng};
 use limit::harness::{Session, SessionBuilder};
 use limit::report::Regions;
-use limit::{CounterReader, Instrumenter};
+use limit::{CounterReader, Instrumenter, LogMode};
 use sim_core::{SimError, SimResult};
 use sim_cpu::{AluOp, Asm, Cond, EventKind, MemLayout, Reg};
 use sim_os::{KernelConfig, RunReport};
@@ -235,22 +235,34 @@ pub fn build(
     events: &[EventKind],
     kernel_cfg: KernelConfig,
 ) -> SimResult<(Session, ApacheImage)> {
-    let mut layout = MemLayout::default();
-    let mut regions = Regions::new();
-    let mut asm = Asm::new();
-    let image = emit(&mut asm, &mut layout, &mut regions, reader, cfg)?;
-    let mut session = SessionBuilder::new(cores)
-        .events(events)
-        .with_layout(layout)
-        .kernel_config(kernel_cfg)
-        .build(asm)?;
-    session.regions = regions;
-    let mut seed = sim_core::DetRng::new(cfg.seed);
-    for _ in 0..cfg.workers {
-        let s = seed.next_u64();
-        session.spawn_instrumented(image.entry, &[s])?;
-    }
-    Ok((session, image))
+    build_on(
+        cfg,
+        reader,
+        SessionBuilder::new(cores).kernel_config(kernel_cfg),
+        events,
+    )
+}
+
+/// Like [`build`], on the machine `builder` describes (see
+/// [`crate::mysqld::build_on`]). Apache emits only log-mode exits.
+pub fn build_on(
+    cfg: &ApacheConfig,
+    reader: &dyn CounterReader,
+    builder: SessionBuilder,
+    events: &[EventKind],
+) -> SimResult<(Session, ApacheImage)> {
+    crate::spec::build_image(
+        builder,
+        events,
+        LogMode::Log,
+        |asm, layout, regions| emit(asm, layout, regions, reader, cfg),
+        |session, image| {
+            for worker_seed in crate::spec::worker_seeds(cfg.seed, cfg.workers) {
+                session.spawn_instrumented(image.entry, &[worker_seed])?;
+            }
+            Ok(())
+        },
+    )
 }
 
 /// Builds, runs, and returns the Apache workload under the given reader.

@@ -23,7 +23,7 @@
 use crate::prng;
 use limit::harness::{Session, SessionBuilder};
 use limit::report::Regions;
-use limit::{CounterReader, Instrumenter};
+use limit::{CounterReader, Instrumenter, LogMode};
 use sim_core::{SimError, SimResult};
 use sim_cpu::{AluOp, Asm, Cond, EventKind, MemLayout, Reg};
 use sim_os::{KernelConfig, RunReport};
@@ -301,21 +301,35 @@ pub fn build(
     events: &[EventKind],
     kernel_cfg: KernelConfig,
 ) -> SimResult<(Session, FirefoxImage)> {
-    let mut layout = MemLayout::default();
-    let mut regions = Regions::new();
-    let mut asm = Asm::new();
-    let image = emit(&mut asm, &mut layout, &mut regions, reader, cfg)?;
-    let mut session = SessionBuilder::new(cores)
-        .events(events)
-        .with_layout(layout)
-        .kernel_config(kernel_cfg)
-        .build(asm)?;
-    session.regions = regions;
-    session.spawn_instrumented(image.entry_main, &[cfg.seed])?;
-    for h in 0..cfg.helpers {
-        session.spawn_instrumented(image.entry_helper, &[h as u64])?;
-    }
-    Ok((session, image))
+    build_on(
+        cfg,
+        reader,
+        SessionBuilder::new(cores).kernel_config(kernel_cfg),
+        events,
+    )
+}
+
+/// Like [`build`], on the machine `builder` describes (see
+/// [`crate::mysqld::build_on`]). Firefox emits only log-mode exits.
+pub fn build_on(
+    cfg: &FirefoxConfig,
+    reader: &dyn CounterReader,
+    builder: SessionBuilder,
+    events: &[EventKind],
+) -> SimResult<(Session, FirefoxImage)> {
+    crate::spec::build_image(
+        builder,
+        events,
+        LogMode::Log,
+        |asm, layout, regions| emit(asm, layout, regions, reader, cfg),
+        |session, image| {
+            session.spawn_instrumented(image.entry_main, &[cfg.seed])?;
+            for h in 0..cfg.helpers {
+                session.spawn_instrumented(image.entry_helper, &[h as u64])?;
+            }
+            Ok(())
+        },
+    )
 }
 
 /// Builds, runs, and returns the Firefox workload under the given reader.

@@ -24,6 +24,8 @@
 //!   (E18).
 //! * [`proxy`] — a scatter-gather proxy doing blocking network fan-out
 //!   (E18).
+//! * [`spec`] — the registry: one [`Spec`] per application above, parsed
+//!   by name and built through one shared path.
 
 pub mod apache;
 pub mod firefox;
@@ -35,4 +37,7 @@ pub mod microbench;
 pub mod mysqld;
 pub mod prng;
 pub mod proxy;
+pub mod spec;
 pub mod suite;
+
+pub use spec::Spec;

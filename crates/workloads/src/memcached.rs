@@ -227,62 +227,34 @@ pub fn build(
     events: &[EventKind],
     kernel_cfg: KernelConfig,
 ) -> SimResult<(Session, MemcachedImage)> {
-    let builder = SessionBuilder::new(cores).kernel_config(kernel_cfg);
-    build_on(cfg, reader, builder, events)
+    build_on(
+        cfg,
+        reader,
+        SessionBuilder::new(cores).kernel_config(kernel_cfg),
+        events,
+    )
 }
 
-/// Like [`build`], on a machine described by a full runtime parameter set
-/// (see [`crate::mysqld::build_with_params`]).
-pub fn build_with_params(
-    cfg: &MemcachedConfig,
-    reader: &dyn CounterReader,
-    params: &limit::MachineParams,
-    events: &[EventKind],
-) -> SimResult<(Session, MemcachedImage)> {
-    build_on(cfg, reader, SessionBuilder::from_params(params)?, events)
-}
-
-/// Like [`build_with_params`], with an explicit interpreter mode (see
-/// [`crate::mysqld::build_with_params_exec`]).
-pub fn build_with_params_exec(
-    cfg: &MemcachedConfig,
-    reader: &dyn CounterReader,
-    params: &limit::MachineParams,
-    events: &[EventKind],
-    exec: sim_os::ExecMode,
-) -> SimResult<(Session, MemcachedImage)> {
-    let builder = SessionBuilder::from_params(params)?;
-    let kcfg = KernelConfig {
-        exec,
-        ..params.kernel_config()
-    };
-    build_on(cfg, reader, builder.kernel_config(kcfg), events)
-}
-
-fn build_on(
+/// Like [`build`], on the machine `builder` describes (see
+/// [`crate::mysqld::build_on`]).
+pub fn build_on(
     cfg: &MemcachedConfig,
     reader: &dyn CounterReader,
     builder: SessionBuilder,
     events: &[EventKind],
 ) -> SimResult<(Session, MemcachedImage)> {
-    let mut layout = MemLayout::default();
-    let mut regions = Regions::new();
-    let mut asm = Asm::new();
-    let image = emit(&mut asm, &mut layout, &mut regions, reader, cfg)?;
-    let mut builder = builder.events(events).with_layout(layout);
-    match cfg.mode {
-        LogMode::Log => {}
-        LogMode::Aggregate => builder = builder.aggregate_regions(regions.len()),
-        LogMode::Stream(stream_cfg) => builder = builder.stream(stream_cfg),
-    }
-    let mut session = builder.build(asm)?;
-    session.regions = regions;
-    let mut seed = sim_core::DetRng::new(cfg.seed);
-    for _ in 0..cfg.workers {
-        let s = seed.next_u64();
-        session.spawn_instrumented(image.entry, &[s])?;
-    }
-    Ok((session, image))
+    crate::spec::build_image(
+        builder,
+        events,
+        cfg.mode,
+        |asm, layout, regions| emit(asm, layout, regions, reader, cfg),
+        |session, image| {
+            for worker_seed in crate::spec::worker_seeds(cfg.seed, cfg.workers) {
+                session.spawn_instrumented(image.entry, &[worker_seed])?;
+            }
+            Ok(())
+        },
+    )
 }
 
 /// Builds, runs, and returns the memcached workload under the given reader.

@@ -72,6 +72,20 @@ impl Default for MysqlConfig {
 }
 
 impl MysqlConfig {
+    /// The small guest-memory footprint for callers that build many short
+    /// sessions (fleet instances, what-if arms): 4 tables of 16 KiB and a
+    /// 256 KiB buffer pool. The defaults (4 MiB of tables, a 4 MiB pool)
+    /// make allocation zeroing dominate a short session's wall time; the
+    /// lock topology and memory behaviour under study are unchanged.
+    pub fn small_footprint() -> Self {
+        MysqlConfig {
+            tables: 4,
+            table_bytes: 16 * 1024,
+            bufpool_bytes: 256 * 1024,
+            ..Default::default()
+        }
+    }
+
     /// Validates power-of-two and non-zero requirements.
     pub fn validate(&self) -> SimResult<()> {
         for (name, v) in [
@@ -340,64 +354,35 @@ pub fn build(
     events: &[EventKind],
     kernel_cfg: KernelConfig,
 ) -> SimResult<(Session, MysqlImage)> {
-    let builder = SessionBuilder::new(cores).kernel_config(kernel_cfg);
-    build_on(cfg, reader, builder, events)
+    build_on(
+        cfg,
+        reader,
+        SessionBuilder::new(cores).kernel_config(kernel_cfg),
+        events,
+    )
 }
 
-/// Like [`build`], on a machine described by a full runtime parameter set
-/// (cores, cycle costs, hierarchy latencies, kernel scheduling costs) —
-/// the what-if engine's per-arm entry point.
-pub fn build_with_params(
-    cfg: &MysqlConfig,
-    reader: &dyn CounterReader,
-    params: &limit::MachineParams,
-    events: &[EventKind],
-) -> SimResult<(Session, MysqlImage)> {
-    build_on(cfg, reader, SessionBuilder::from_params(params)?, events)
-}
-
-/// Like [`build_with_params`], with an explicit interpreter mode — the
-/// entry point for differential tests that pin block-stepped and
-/// single-stepped execution to the same perturbed machine.
-pub fn build_with_params_exec(
-    cfg: &MysqlConfig,
-    reader: &dyn CounterReader,
-    params: &limit::MachineParams,
-    events: &[EventKind],
-    exec: sim_os::ExecMode,
-) -> SimResult<(Session, MysqlImage)> {
-    let builder = SessionBuilder::from_params(params)?;
-    let kcfg = KernelConfig {
-        exec,
-        ..params.kernel_config()
-    };
-    build_on(cfg, reader, builder.kernel_config(kcfg), events)
-}
-
-fn build_on(
+/// Like [`build`], on the machine `builder` describes — e.g.
+/// `SessionBuilder::from_params(&params)?` for a perturbed what-if arm,
+/// plus `.kernel_config(..)` to pin the interpreter mode.
+pub fn build_on(
     cfg: &MysqlConfig,
     reader: &dyn CounterReader,
     builder: SessionBuilder,
     events: &[EventKind],
 ) -> SimResult<(Session, MysqlImage)> {
-    let mut layout = MemLayout::default();
-    let mut regions = Regions::new();
-    let mut asm = Asm::new();
-    let image = emit(&mut asm, &mut layout, &mut regions, reader, cfg)?;
-    let mut builder = builder.events(events).with_layout(layout);
-    match cfg.mode {
-        LogMode::Log => {}
-        LogMode::Aggregate => builder = builder.aggregate_regions(regions.len()),
-        LogMode::Stream(stream_cfg) => builder = builder.stream(stream_cfg),
-    }
-    let mut session = builder.build(asm)?;
-    session.regions = regions;
-    let mut seed = sim_core::DetRng::new(cfg.seed);
-    for _ in 0..cfg.threads {
-        let worker_seed = seed.next_u64();
-        session.spawn_instrumented(image.entry, &[worker_seed])?;
-    }
-    Ok((session, image))
+    crate::spec::build_image(
+        builder,
+        events,
+        cfg.mode,
+        |asm, layout, regions| emit(asm, layout, regions, reader, cfg),
+        |session, image| {
+            for worker_seed in crate::spec::worker_seeds(cfg.seed, cfg.threads) {
+                session.spawn_instrumented(image.entry, &[worker_seed])?;
+            }
+            Ok(())
+        },
+    )
 }
 
 /// Builds, runs, and returns a MySQL workload under the given reader.

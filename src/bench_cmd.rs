@@ -13,8 +13,8 @@
 //! *speedup ratio* is not, which is what `--check` compares against the
 //! committed baseline (the file's first entry) for CI regression gating.
 
-use bench::json::Json;
 use limit::LimitReader;
+use sim_core::json::Json;
 use sim_cpu::EventKind;
 use sim_os::{ExecMode, KernelConfig, RunReport};
 use workloads::mysqld::{self, MysqlConfig};

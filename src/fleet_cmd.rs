@@ -13,10 +13,9 @@
 //! equal the per-instance sums (`check-telemetry` verifies this).
 
 use crate::monitor::{findings_json, snapshot_json_with};
-use bench::json::Json;
-use fleet::{
-    run_fleet, ArrivalConfig, ArrivalProcess, FleetConfig, FleetReport, Workload, EVENT_NAMES,
-};
+use fleet::{run_fleet, ArrivalConfig, ArrivalProcess, FleetConfig, FleetReport, EVENT_NAMES};
+use sim_core::json::Json;
+use workloads::Spec;
 
 /// Knobs of a fleet run (all have CLI flags).
 #[derive(Debug, Clone)]
@@ -64,7 +63,7 @@ impl Default for FleetOptions {
     }
 }
 
-fn to_config(workload: Workload, opts: &FleetOptions) -> FleetConfig {
+fn to_config(workload: Spec, opts: &FleetOptions) -> FleetConfig {
     let process = if opts.burst > 1.0 {
         ArrivalProcess::Bursty {
             factor: opts.burst,
@@ -141,10 +140,10 @@ fn render_ndjson(workload: &str, report: &FleetReport) -> String {
 
 /// Runs the fleet and writes `<out-dir>/fleet-<workload>.json`.
 pub fn run(workload: &str, opts: &FleetOptions) -> Result<(), String> {
-    let wl: Workload = workload.parse()?;
-    let cfg = to_config(wl, opts);
+    let spec = Spec::parse(workload).map_err(|e| e.to_string())?;
+    let cfg = to_config(spec.compact(), opts);
     eprintln!(
-        "fleet: {} x {wl} ({} threads x {} queries each), arrival {:.2}/Mcycle ({}), \
+        "fleet: {} x {workload} ({} threads x {} queries each), arrival {:.2}/Mcycle ({}), \
          {} slots, {} host jobs",
         cfg.instances,
         cfg.threads,

@@ -10,14 +10,13 @@
 //! whole pipeline.
 
 use analysis::online::{classify, DetectorConfig, Finding};
-use bench::json::Json;
-use limit::harness::Session;
+use limit::harness::{Session, SessionBuilder};
 use limit::{LimitReader, LogMode, StreamConfig};
+use sim_core::json::Json;
 use sim_cpu::EventKind;
 use sim_os::io::DEVICE_NAMES;
-use sim_os::KernelConfig;
 use telemetry::{run_streaming, Collector, Snapshot};
-use workloads::{logstore, memcached, mysqld, proxy};
+use workloads::Spec;
 
 /// Counters every monitored run attaches: cycles rank regions,
 /// instructions + LLC misses feed the memory-bound detector.
@@ -84,62 +83,13 @@ impl Default for MonitorOptions {
 }
 
 fn build_session(workload: &str, opts: &MonitorOptions) -> Result<Session, String> {
-    let fail = |e: sim_core::SimError| e.to_string();
     let mode = LogMode::Stream(StreamConfig::dropping(opts.capacity));
     let reader = LimitReader::with_events(EVENTS.to_vec());
-    let cores = opts.threads.clamp(1, 8);
-    match workload {
-        "mysqld" => {
-            let cfg = mysqld::MysqlConfig {
-                threads: opts.threads,
-                queries_per_thread: opts.queries,
-                mode,
-                ..Default::default()
-            };
-            let (session, _) =
-                mysqld::build(&cfg, &reader, cores, &EVENTS, KernelConfig::default())
-                    .map_err(fail)?;
-            Ok(session)
-        }
-        "memcached" => {
-            let cfg = memcached::MemcachedConfig {
-                workers: opts.threads,
-                ops_per_worker: opts.queries,
-                mode,
-                ..Default::default()
-            };
-            let (session, _) =
-                memcached::build(&cfg, &reader, cores, &EVENTS, KernelConfig::default())
-                    .map_err(fail)?;
-            Ok(session)
-        }
-        "logstore" => {
-            let cfg = logstore::LogstoreConfig {
-                threads: opts.threads,
-                commits_per_thread: opts.queries,
-                mode,
-                ..Default::default()
-            };
-            let (session, _) =
-                logstore::build(&cfg, &reader, cores, &EVENTS, KernelConfig::default())
-                    .map_err(fail)?;
-            Ok(session)
-        }
-        "proxy" => {
-            let cfg = proxy::ProxyConfig {
-                threads: opts.threads,
-                requests_per_thread: opts.queries,
-                mode,
-                ..Default::default()
-            };
-            let (session, _) = proxy::build(&cfg, &reader, cores, &EVENTS, KernelConfig::default())
-                .map_err(fail)?;
-            Ok(session)
-        }
-        other => Err(format!(
-            "unknown workload {other:?} (mysqld|memcached|logstore|proxy)"
-        )),
-    }
+    let builder = SessionBuilder::new(opts.threads.clamp(1, 8));
+    Spec::parse(workload)
+        .and_then(|spec| spec.with_shape(opts.threads, opts.queries, None, mode))
+        .and_then(|spec| spec.build(&reader, &EVENTS, builder))
+        .map_err(|e| e.to_string())
 }
 
 /// One snapshot (with pre-rendered findings) as a schema-5 NDJSON record.

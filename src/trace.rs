@@ -7,11 +7,11 @@
 
 use bench::spans;
 use flight::{Categories, FlightConfig, HostSpan};
-use limit::harness::Session;
+use limit::harness::{Session, SessionBuilder};
 use limit::LimitReader;
+use sim_core::json::Json;
 use sim_cpu::EventKind;
-use sim_os::KernelConfig;
-use workloads::{apache, firefox, logstore, memcached, mysqld, proxy};
+use workloads::Spec;
 
 /// Counters attached to every traced run (mirrors `monitor`).
 const EVENTS: [EventKind; 3] = [
@@ -43,63 +43,21 @@ impl Default for TraceOptions {
     }
 }
 
-fn build_session(workload: &str) -> Result<Session, String> {
-    let fail = |e: sim_core::SimError| e.to_string();
-    let reader = LimitReader::with_events(EVENTS.to_vec());
-    let kcfg = KernelConfig::default();
-    match workload {
-        "mysqld" => {
-            let (s, _) = mysqld::build(&mysqld::MysqlConfig::default(), &reader, 8, &EVENTS, kcfg)
-                .map_err(fail)?;
-            Ok(s)
-        }
-        "firefox" => {
-            let (s, _) = firefox::build(
-                &firefox::FirefoxConfig::default(),
-                &reader,
-                4,
-                &EVENTS,
-                kcfg,
-            )
-            .map_err(fail)?;
-            Ok(s)
-        }
-        "apache" => {
-            let (s, _) = apache::build(&apache::ApacheConfig::default(), &reader, 8, &EVENTS, kcfg)
-                .map_err(fail)?;
-            Ok(s)
-        }
-        "memcached" => {
-            let (s, _) = memcached::build(
-                &memcached::MemcachedConfig::default(),
-                &reader,
-                8,
-                &EVENTS,
-                kcfg,
-            )
-            .map_err(fail)?;
-            Ok(s)
-        }
-        "logstore" => {
-            let (s, _) = logstore::build(
-                &logstore::LogstoreConfig::default(),
-                &reader,
-                8,
-                &EVENTS,
-                kcfg,
-            )
-            .map_err(fail)?;
-            Ok(s)
-        }
-        "proxy" => {
-            let (s, _) = proxy::build(&proxy::ProxyConfig::default(), &reader, 8, &EVENTS, kcfg)
-                .map_err(fail)?;
-            Ok(s)
-        }
-        other => Err(format!(
-            "unknown workload {other:?} (mysqld|firefox|apache|memcached|logstore|proxy)"
-        )),
+/// Simulated cores for a default-shape run (`trace`, `stat`): the event
+/// loop and its helpers get 4, the servers 8.
+pub fn default_cores(spec: &Spec) -> usize {
+    if matches!(spec, Spec::Firefox(_)) {
+        4
+    } else {
+        8
     }
+}
+
+fn build_session(workload: &str) -> Result<Session, String> {
+    let reader = LimitReader::with_events(EVENTS.to_vec());
+    Spec::parse(workload)
+        .and_then(|spec| spec.build(&reader, &EVENTS, SessionBuilder::new(default_cores(&spec))))
+        .map_err(|e| e.to_string())
 }
 
 /// Converts drained bench spans into Chrome host-track spans.
@@ -223,7 +181,7 @@ pub fn check(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     // A Chrome export parses as a single document (NDJSON has trailing
     // lines and fails here), so try that shape first.
-    if let Ok(doc) = bench::json::Json::parse(&text) {
+    if let Ok(doc) = Json::parse(&text) {
         if doc.get("traceEvents").is_some() {
             return check_chrome(path, &doc);
         }
@@ -256,8 +214,7 @@ pub fn check(path: &str) -> Result<(), String> {
 /// Validates a parsed Chrome trace-event document: non-empty, every event
 /// carries `ph` and `pid`, durations and begin/end markers are paired per
 /// track, and all three synthetic processes are present.
-fn check_chrome(path: &str, doc: &bench::json::Json) -> Result<(), String> {
-    use bench::json::Json;
+fn check_chrome(path: &str, doc: &Json) -> Result<(), String> {
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_array)

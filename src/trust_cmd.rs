@@ -12,7 +12,7 @@
 //! Exit is nonzero if any selected `rdpmc-fixup` cell is not **exact** —
 //! that is the virtualization layer's core promise, and CI smokes it.
 
-use bench::json::Json;
+use sim_core::json::Json;
 use sim_cpu::EventKind;
 use torture::matrix::{
     enumerate_cells, render_report, run_cell, AccessMethod, CellReport, Disturb, MatrixConfig,

@@ -14,8 +14,9 @@
 //! exists in the baseline, and that every arm line's `base_count` /
 //! `base_cycles` agree with the baseline line for that region.
 
-use bench::json::Json;
-use whatif::{Knob, WhatifConfig, WhatifReport, Workload};
+use sim_core::json::Json;
+use whatif::{Knob, WhatifConfig, WhatifReport};
+use workloads::Spec;
 
 /// Knobs of a whatif run (all have CLI flags).
 #[derive(Debug, Clone)]
@@ -34,13 +35,13 @@ pub struct WhatifOptions {
     pub capacity: u64,
     /// Telemetry drain cadence in guest cycles.
     pub interval: u64,
-    /// Memcached lock-stripe override (1 = one global lock).
+    /// Memcached lock stripes (1 = one global lock).
     pub stripes: Option<u64>,
-    /// Memcached hash-table bucket override.
+    /// Memcached hash-table buckets.
     pub buckets: Option<u64>,
-    /// Memcached in-section atomic RMW override (refcount/stats).
+    /// Memcached in-section atomic RMWs (refcount/stats).
     pub hold_rmws: Option<u64>,
-    /// Mysqld buffer-pool size override in bytes.
+    /// Mysqld buffer-pool size in bytes.
     pub bufpool: Option<u64>,
     /// Directory receiving `whatif-<workload>.json`.
     pub out_dir: String,
@@ -48,7 +49,7 @@ pub struct WhatifOptions {
 
 impl Default for WhatifOptions {
     fn default() -> Self {
-        let base = WhatifConfig::new(Workload::Mysqld);
+        let base = WhatifConfig::new(Spec::Mysqld(Default::default()));
         WhatifOptions {
             threads: base.threads,
             queries: base.queries,
@@ -66,18 +67,39 @@ impl Default for WhatifOptions {
     }
 }
 
-fn to_config(workload: Workload, opts: &WhatifOptions) -> Result<WhatifConfig, String> {
-    let mut cfg = WhatifConfig::new(workload);
+/// The workload's compact config with the shape flags applied. A flag
+/// the workload has no field for is an error naming the workload it
+/// applies to, never a silent no-op.
+fn to_spec(workload: &str, opts: &WhatifOptions) -> Result<Spec, String> {
+    let mut spec = Spec::parse(workload).map_err(|e| e.to_string())?.compact();
+    let name = spec.name();
+    let overrides = [
+        ("stripes", opts.stripes, "memcached"),
+        ("buckets", opts.buckets, "memcached"),
+        ("hold-rmws", opts.hold_rmws, "memcached"),
+        ("bufpool", opts.bufpool, "mysqld"),
+    ];
+    for (flag, value, applies_to) in overrides {
+        let Some(value) = value else { continue };
+        match (&mut spec, flag) {
+            (Spec::Memcached(c), "stripes") => c.stripes = value,
+            (Spec::Memcached(c), "buckets") => c.buckets = value,
+            (Spec::Memcached(c), "hold-rmws") => c.hold_rmws = value,
+            (Spec::Mysqld(c), "bufpool") => c.bufpool_bytes = value,
+            _ => return Err(format!("--{flag} applies to {applies_to}, not {name}")),
+        }
+    }
+    Ok(spec)
+}
+
+fn to_config(workload: &str, opts: &WhatifOptions) -> Result<WhatifConfig, String> {
+    let mut cfg = WhatifConfig::new(to_spec(workload, opts)?);
     cfg.threads = opts.threads;
     cfg.queries = opts.queries;
     cfg.scale = opts.scale;
     cfg.jobs = opts.jobs;
     cfg.capacity = opts.capacity;
     cfg.interval = opts.interval;
-    cfg.stripes = opts.stripes;
-    cfg.buckets = opts.buckets;
-    cfg.hold_rmws = opts.hold_rmws;
-    cfg.bufpool_bytes = opts.bufpool;
     cfg.params = limit::MachineParams::new(opts.threads.clamp(1, limit::params::MAX_CORES));
     if let Some(list) = &opts.knobs {
         let mut knobs = Vec::new();
@@ -192,13 +214,10 @@ pub fn render_ndjson(report: &WhatifReport) -> String {
 
 /// Runs the what-if engine and writes `<out-dir>/whatif-<workload>.json`.
 pub fn run(workload: &str, opts: &WhatifOptions) -> Result<(), String> {
-    let wl = Workload::parse(workload).ok_or_else(|| {
-        format!("unknown workload {workload:?} (mysqld|memcached|logstore|proxy)")
-    })?;
-    let cfg = to_config(wl, opts)?;
+    let cfg = to_config(workload, opts)?;
     eprintln!(
         "whatif: {} ({} threads x {} queries), {} knobs at scale {:.1}, {} host jobs",
-        wl.name(),
+        cfg.workload.name(),
         cfg.threads,
         cfg.queries,
         cfg.knobs.len(),
@@ -234,7 +253,7 @@ pub fn run(workload: &str, opts: &WhatifOptions) -> Result<(), String> {
 
     std::fs::create_dir_all(&opts.out_dir)
         .map_err(|e| format!("cannot create {}: {e}", opts.out_dir))?;
-    let path = format!("{}/whatif-{}.json", opts.out_dir, wl.name());
+    let path = format!("{}/whatif-{}.json", opts.out_dir, report.workload);
     std::fs::write(&path, render_ndjson(&report))
         .map_err(|e| format!("cannot write {path}: {e}"))?;
 
@@ -246,4 +265,57 @@ pub fn run(workload: &str, opts: &WhatifOptions) -> Result<(), String> {
     );
     println!("wrote {path}");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rejects(workload: &str, opts: WhatifOptions, applies_to: &str) {
+        let err = to_config(workload, &opts).unwrap_err();
+        assert!(
+            err.contains(&format!("applies to {applies_to}, not {workload}")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn stripes_outside_memcached_is_an_error() {
+        let opts = WhatifOptions {
+            stripes: Some(4),
+            ..Default::default()
+        };
+        rejects("mysqld", opts.clone(), "memcached");
+        let cfg = to_config("memcached", &opts).unwrap();
+        assert!(matches!(cfg.workload, Spec::Memcached(c) if c.stripes == 4));
+    }
+
+    #[test]
+    fn buckets_outside_memcached_is_an_error() {
+        let opts = WhatifOptions {
+            buckets: Some(256),
+            ..Default::default()
+        };
+        rejects("logstore", opts, "memcached");
+    }
+
+    #[test]
+    fn hold_rmws_outside_memcached_is_an_error() {
+        let opts = WhatifOptions {
+            hold_rmws: Some(16),
+            ..Default::default()
+        };
+        rejects("proxy", opts, "memcached");
+    }
+
+    #[test]
+    fn bufpool_outside_mysqld_is_an_error() {
+        let opts = WhatifOptions {
+            bufpool: Some(1 << 20),
+            ..Default::default()
+        };
+        rejects("memcached", opts.clone(), "mysqld");
+        let cfg = to_config("mysqld", &opts).unwrap();
+        assert!(matches!(cfg.workload, Spec::Mysqld(c) if c.bufpool_bytes == 1 << 20));
+    }
 }

@@ -10,23 +10,18 @@
 //! every benchmark run; these tests cover the other workloads at small
 //! configurations so the gate rides along with `cargo test`.
 
-use limit::LimitReader;
+use limit::{LimitReader, SessionBuilder};
 use sim_cpu::EventKind;
 use sim_os::{ExecMode, KernelConfig, RunReport};
-use workloads::{apache, firefox, memcached, mysqld};
+use workloads::memcached::MemcachedConfig;
+use workloads::mysqld::MysqlConfig;
+use workloads::Spec;
 
 const EVENTS: [EventKind; 3] = [
     EventKind::Cycles,
     EventKind::Instructions,
     EventKind::LlcMisses,
 ];
-
-fn kcfg(exec: ExecMode) -> KernelConfig {
-    KernelConfig {
-        exec,
-        ..KernelConfig::default()
-    }
-}
 
 /// Everything observable from one run, gathered for exact comparison.
 #[derive(Debug, PartialEq)]
@@ -54,63 +49,50 @@ fn observe(session: &limit::harness::Session, report: RunReport) -> Observed {
     }
 }
 
-fn assert_identical(name: &str, single: &Observed, block: &Observed) {
+/// Runs `spec` on 4 cores under both interpreters and asserts that every
+/// observable matches.
+fn assert_identical_across_exec_modes(spec: Spec) {
+    let reader = LimitReader::with_events(EVENTS.to_vec());
+    let run = |exec| {
+        let kcfg = KernelConfig {
+            exec,
+            ..KernelConfig::default()
+        };
+        let builder = SessionBuilder::new(4).kernel_config(kcfg);
+        let mut session = spec.build(&reader, &EVENTS, builder).unwrap();
+        let report = session.run().unwrap();
+        observe(&session, report)
+    };
     assert_eq!(
-        single, block,
-        "{name}: block-stepped run diverged from single-step"
+        run(ExecMode::SingleStep),
+        run(ExecMode::Block),
+        "{}: block-stepped run diverged from single-step",
+        spec.name()
     );
 }
 
 #[test]
 fn mysqld_is_identical_across_exec_modes() {
-    let cfg = mysqld::MysqlConfig {
+    assert_identical_across_exec_modes(Spec::Mysqld(MysqlConfig {
         queries_per_thread: 40,
         ..Default::default()
-    };
-    let reader = LimitReader::with_events(EVENTS.to_vec());
-    let run = |exec| {
-        let r = mysqld::run(&cfg, &reader, 4, &EVENTS, kcfg(exec)).unwrap();
-        observe(&r.session, r.report)
-    };
-    assert_identical("mysqld", &run(ExecMode::SingleStep), &run(ExecMode::Block));
+    }));
 }
 
 #[test]
 fn memcached_is_identical_across_exec_modes() {
-    let cfg = memcached::MemcachedConfig {
+    assert_identical_across_exec_modes(Spec::Memcached(MemcachedConfig {
         ops_per_worker: 300,
         ..Default::default()
-    };
-    let reader = LimitReader::with_events(EVENTS.to_vec());
-    let run = |exec| {
-        let r = memcached::run(&cfg, &reader, 4, &EVENTS, kcfg(exec)).unwrap();
-        observe(&r.session, r.report)
-    };
-    assert_identical(
-        "memcached",
-        &run(ExecMode::SingleStep),
-        &run(ExecMode::Block),
-    );
+    }));
 }
 
 #[test]
 fn apache_is_identical_across_exec_modes() {
-    let cfg = apache::ApacheConfig::default();
-    let reader = LimitReader::with_events(EVENTS.to_vec());
-    let run = |exec| {
-        let r = apache::run(&cfg, &reader, 4, &EVENTS, kcfg(exec)).unwrap();
-        observe(&r.session, r.report)
-    };
-    assert_identical("apache", &run(ExecMode::SingleStep), &run(ExecMode::Block));
+    assert_identical_across_exec_modes(Spec::Apache(Default::default()));
 }
 
 #[test]
 fn firefox_is_identical_across_exec_modes() {
-    let cfg = firefox::FirefoxConfig::default();
-    let reader = LimitReader::with_events(EVENTS.to_vec());
-    let run = |exec| {
-        let r = firefox::run(&cfg, &reader, 4, &EVENTS, kcfg(exec)).unwrap();
-        observe(&r.session, r.report)
-    };
-    assert_identical("firefox", &run(ExecMode::SingleStep), &run(ExecMode::Block));
+    assert_identical_across_exec_modes(Spec::Firefox(Default::default()));
 }

@@ -4,11 +4,11 @@
 //! makes fleet results comparable across machines and CI runners — any
 //! dependence on host scheduling is a bug, caught here.
 
-use fleet::{run_fleet, FleetConfig, Workload, EVENT_NAMES};
+use fleet::{run_fleet, FleetConfig, EVENT_NAMES};
+use workloads::Spec;
 
 fn cfg(jobs: usize) -> FleetConfig {
     FleetConfig {
-        workload: Workload::Mysqld,
         instances: 12,
         threads: 2,
         queries: 10,
@@ -55,6 +55,17 @@ fn fleet_results_are_byte_identical_across_jobs_1_4_8() {
             "fleet fingerprint diverged between --jobs 1 and --jobs {jobs}"
         );
     }
+    // Logstore instances carry fsync waits through the io roll-up.
+    let logstore = |jobs| FleetConfig {
+        workload: Spec::parse("logstore").unwrap(),
+        ..cfg(jobs)
+    };
+    let base = fingerprint(&run_fleet(&logstore(1), |_, _| {}).expect("logstore fleet runs"));
+    let other = fingerprint(&run_fleet(&logstore(4), |_, _| {}).expect("logstore fleet runs"));
+    assert_eq!(
+        base, other,
+        "logstore fleet fingerprint diverged between --jobs 1 and --jobs 4"
+    );
 }
 
 #[test]

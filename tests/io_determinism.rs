@@ -14,11 +14,11 @@
 //! cycles, submit counts, and the per-region telemetry records the rings
 //! carry.
 
-use limit::{LimitReader, MachineParams};
+use limit::{LimitReader, MachineParams, SessionBuilder};
 use sim_cpu::EventKind;
-use sim_os::{ExecMode, RunReport};
-use whatif::{run_whatif, WhatifConfig, Workload};
-use workloads::{logstore, proxy};
+use sim_os::{ExecMode, KernelConfig, RunReport};
+use whatif::{run_whatif, WhatifConfig};
+use workloads::{logstore, proxy, Spec};
 
 const EVENTS: [EventKind; 3] = [
     EventKind::Cycles,
@@ -43,6 +43,16 @@ fn observe(session: &limit::harness::Session, report: RunReport) -> Observed {
     }
 }
 
+/// The machine `params` describe, interpreted in `exec` mode.
+fn builder(params: &MachineParams, exec: ExecMode) -> SessionBuilder {
+    SessionBuilder::from_params(params)
+        .unwrap()
+        .kernel_config(KernelConfig {
+            exec,
+            ..params.kernel_config()
+        })
+}
+
 #[test]
 fn logstore_is_identical_across_exec_modes() {
     let cfg = logstore::LogstoreConfig {
@@ -53,7 +63,7 @@ fn logstore_is_identical_across_exec_modes() {
     let run = |exec| {
         let reader = LimitReader::with_events(EVENTS.to_vec());
         let (mut session, _) =
-            logstore::build_with_params_exec(&cfg, &reader, &params, &EVENTS, exec).unwrap();
+            logstore::build_on(&cfg, &reader, builder(&params, exec), &EVENTS).unwrap();
         let report = session.run().unwrap();
         observe(&session, report)
     };
@@ -77,7 +87,7 @@ fn proxy_is_identical_across_exec_modes() {
     let run = |exec| {
         let reader = LimitReader::with_events(EVENTS.to_vec());
         let (mut session, _) =
-            proxy::build_with_params_exec(&cfg, &reader, &params, &EVENTS, exec).unwrap();
+            proxy::build_on(&cfg, &reader, builder(&params, exec), &EVENTS).unwrap();
         let report = session.run().unwrap();
         observe(&session, report)
     };
@@ -96,7 +106,7 @@ fn proxy_is_identical_across_exec_modes() {
 #[test]
 fn logstore_whatif_is_identical_across_jobs() {
     let run = |jobs| {
-        let mut cfg = WhatifConfig::new(Workload::Logstore);
+        let mut cfg = WhatifConfig::new(Spec::parse("logstore").unwrap());
         cfg.queries = 6;
         cfg.jobs = jobs;
         run_whatif(&cfg, |_, _| {}).unwrap()
@@ -113,7 +123,7 @@ fn logstore_whatif_is_identical_across_jobs() {
 #[test]
 fn proxy_whatif_is_identical_across_jobs() {
     let run = |jobs| {
-        let mut cfg = WhatifConfig::new(Workload::Proxy);
+        let mut cfg = WhatifConfig::new(Spec::parse("proxy").unwrap());
         cfg.queries = 6;
         cfg.jobs = jobs;
         run_whatif(&cfg, |_, _| {}).unwrap()

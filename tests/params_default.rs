@@ -11,11 +11,11 @@
 //! perturbed arm through the fast path, so the differential contract has
 //! to hold away from the defaults too).
 
-use limit::harness::Session;
+use limit::harness::{Session, SessionBuilder};
 use limit::{LimitReader, MachineParams};
 use sim_cpu::{EventKind, MachineConfig};
 use sim_os::{ExecMode, KernelConfig, RunReport};
-use workloads::{memcached, mysqld};
+use workloads::{memcached, mysqld, Spec};
 
 const EVENTS: [EventKind; 3] = [
     EventKind::Cycles,
@@ -87,14 +87,26 @@ fn default_params_run_is_bit_identical_to_legacy_path() {
         observe(&r.session, r.report)
     };
     let via_params = {
-        let (mut session, _image) =
-            mysqld::build_with_params(&cfg, &reader, &MachineParams::new(4), &EVENTS).unwrap();
+        let builder = SessionBuilder::from_params(&MachineParams::new(4)).unwrap();
+        let (mut session, _image) = mysqld::build_on(&cfg, &reader, builder, &EVENTS).unwrap();
         let report = session.run().unwrap();
         observe(&session, report)
     };
     assert_eq!(
         legacy, via_params,
         "MachineParams::default() run diverged from the legacy constant path"
+    );
+    let via_spec = {
+        let spec = Spec::Mysqld(cfg.clone());
+        let mut session = spec
+            .build(&reader, &EVENTS, SessionBuilder::new(4))
+            .unwrap();
+        let report = session.run().unwrap();
+        observe(&session, report)
+    };
+    assert_eq!(
+        legacy, via_spec,
+        "Spec-built session diverged from the direct mysqld::build path"
     );
 }
 
@@ -116,8 +128,13 @@ fn exec_modes_agree_under_non_default_params() {
     };
     let reader = LimitReader::with_events(EVENTS.to_vec());
     let run = |exec| {
-        let (mut session, _image) =
-            memcached::build_with_params_exec(&cfg, &reader, &params, &EVENTS, exec).unwrap();
+        let builder = SessionBuilder::from_params(&params)
+            .unwrap()
+            .kernel_config(KernelConfig {
+                exec,
+                ..params.kernel_config()
+            });
+        let (mut session, _image) = memcached::build_on(&cfg, &reader, builder, &EVENTS).unwrap();
         let report = session.run().unwrap();
         observe(&session, report)
     };

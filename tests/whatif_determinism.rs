@@ -8,10 +8,11 @@
 //! both workloads at small configurations so it rides along with
 //! `cargo test`.
 
-use whatif::{run_whatif, WhatifConfig, WhatifReport, Workload};
+use whatif::{run_whatif, WhatifConfig, WhatifReport};
+use workloads::Spec;
 
-fn cfg(workload: Workload, jobs: usize) -> WhatifConfig {
-    let mut c = WhatifConfig::new(workload);
+fn cfg(workload: &str, jobs: usize) -> WhatifConfig {
+    let mut c = WhatifConfig::new(Spec::parse(workload).unwrap().compact());
     c.queries = 30;
     c.jobs = jobs;
     c
@@ -64,14 +65,12 @@ fn fingerprint(report: &WhatifReport) -> String {
 
 #[test]
 fn whatif_reports_are_byte_identical_across_jobs_1_4() {
-    for workload in [Workload::Mysqld, Workload::Memcached] {
+    for workload in ["mysqld", "memcached"] {
         let base = fingerprint(&run_whatif(&cfg(workload, 1), |_, _| {}).expect("jobs=1 runs"));
         let other = fingerprint(&run_whatif(&cfg(workload, 4), |_, _| {}).expect("jobs=4 runs"));
         assert_eq!(
-            base,
-            other,
-            "{} whatif fingerprint diverged between --jobs 1 and --jobs 4",
-            workload.name()
+            base, other,
+            "{workload} whatif fingerprint diverged between --jobs 1 and --jobs 4"
         );
     }
 }
