@@ -145,6 +145,12 @@ pub struct Core {
     /// Batched PMU accrual state for the block-stepped fast path. Inactive
     /// (and empty) whenever control is outside `Machine::run_until`.
     pub batch: BatchAccrual,
+    /// Run-ahead horizon: while this core is ahead of the cross-core
+    /// arbitration minimum, `Machine::run_until` does not step it at or
+    /// past this clock. The kernel sets it before every run (its slice end
+    /// when a preemption there could depend on another core, 0 to forbid
+    /// run-ahead); `u64::MAX` means no horizon.
+    pub ahead_horizon: u64,
     /// Lifetime guest instructions retired by this core (the numerator of
     /// the interpreter-throughput benchmark; kernel `charge` bookkeeping
     /// is excluded — only decoded-and-executed instructions count).
@@ -165,6 +171,7 @@ impl Core {
             trace: None,
             oracle_scratch: None,
             batch: BatchAccrual::default(),
+            ahead_horizon: u64::MAX,
             retired: 0,
         })
     }

@@ -872,7 +872,7 @@ impl Machine {
                 // and wait their turn). The cost bound keeps the step from
                 // crossing a sleeper wake-up, whose boundary is defined by
                 // the first post-step clock to reach it on *any* core.
-                if in_range {
+                if in_range || self.cores[idx].clock >= self.cores[idx].ahead_horizon {
                     return Ok(None);
                 }
                 match self

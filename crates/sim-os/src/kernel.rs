@@ -193,6 +193,9 @@ pub struct Kernel {
     blocks: Option<sim_cpu::BlockMap>,
     /// Reusable per-core stop-threshold buffer for the fast path.
     fast_stop: Vec<u64>,
+    /// Whether the program contains a `spawn` syscall: a guest spawn can
+    /// make one extra thread ready in the middle of a block-stepped run.
+    may_spawn: bool,
     /// Per-pc injection-arming table derived from the injector schedule:
     /// armed pcs are boundaries the fast path must not run across.
     armed_pcs: Option<Vec<bool>>,
@@ -202,6 +205,12 @@ impl Kernel {
     /// Boots a kernel on `machine`.
     pub fn new(machine: Machine, cfg: KernelConfig) -> Self {
         let cores = machine.num_cores();
+        let may_spawn = (0..machine.prog.len() as u32).any(|pc| {
+            matches!(
+                machine.prog.fetch(pc),
+                Some(sim_cpu::Instr::Syscall(crate::syscall::nr::SPAWN))
+            )
+        });
         Kernel {
             sched: Scheduler::new(cores, cfg.quantum),
             futex: FutexTable::new(),
@@ -217,6 +226,7 @@ impl Kernel {
             injector: None,
             blocks: None,
             fast_stop: Vec::new(),
+            may_spawn,
             armed_pcs: None,
             cfg,
             machine,
@@ -464,7 +474,7 @@ impl Kernel {
             }
 
             let (core, step) = if fast && !self.injection_armed_at(core) {
-                match self.fast_run(next_fire)? {
+                match self.fast_run(next_fire, stop_on_exit.is_some())? {
                     Some((c, s)) => (c, s),
                     // The machine stopped at a poll point without trapping:
                     // re-run the kernel's full decision sequence.
@@ -531,37 +541,62 @@ impl Kernel {
     /// may run), lets the machine execute until a kernel-visible event, and
     /// translates the exit. `None` means "nothing to dispatch — re-run the
     /// kernel's poll sequence"; `Some` carries a trap.
-    fn fast_run(&mut self, next_fire: Option<u64>) -> SimResult<Option<(CoreId, sim_cpu::Step)>> {
+    ///
+    /// It also sets each core's run-ahead horizon ([`sim_cpu::Core::ahead_horizon`]).
+    /// An ahead core cannot know whether another core's earlier event makes
+    /// a thread ready, so it may not step at or past the boundary where
+    /// that would preempt it: its slice end, whenever a thread made ready
+    /// mid-run could find every eligible core busy (more live threads than
+    /// cores, counting one a guest `spawn` may add, or any live thread
+    /// pinned). With a stop-on-exit target there is no run-ahead at all:
+    /// work an ahead core did past the target's `Halt` would be kept.
+    fn fast_run(
+        &mut self,
+        next_fire: Option<u64>,
+        stop_on_exit: bool,
+    ) -> SimResult<Option<(CoreId, sim_cpu::Step)>> {
         if self.blocks.is_none() {
             self.blocks = Some(sim_cpu::BlockMap::build(
                 &self.machine.prog,
                 self.limit.ranges(),
             ));
         }
+        let mut wake_at = u64::MAX;
+        let mut live = usize::from(self.may_spawn);
+        let mut pinned = false;
+        for t in &self.threads {
+            match t.state {
+                ThreadState::Exited => continue,
+                ThreadState::Sleeping { until } => wake_at = wake_at.min(until),
+                _ => {}
+            }
+            live += 1;
+            pinned |= t.affinity.is_some();
+        }
+        let contended = pinned || live > self.machine.num_cores();
         // A core must stop before the hook's next fire time, before its
         // slice expires (only enforceable while someone is waiting), and
         // before the cycle budget check would trip.
         let ready = self.sched.ready_len() > 0;
         self.fast_stop.clear();
         for i in 0..self.machine.num_cores() {
+            let slice_end = self.sched.slice_end(CoreId::new(i as u32));
             let mut stop = self.cfg.max_cycles.saturating_add(1);
             if let Some(nf) = next_fire {
                 stop = stop.min(nf);
             }
             if ready {
-                stop = stop.min(self.sched.slice_end(CoreId::new(i as u32)));
+                stop = stop.min(slice_end);
             }
             self.fast_stop.push(stop);
+            self.machine.cores[i].ahead_horizon = if stop_on_exit {
+                0
+            } else if contended {
+                slice_end
+            } else {
+                u64::MAX
+            };
         }
-        let wake_at = self
-            .threads
-            .iter()
-            .filter_map(|t| match t.state {
-                ThreadState::Sleeping { until } => Some(until),
-                _ => None,
-            })
-            .min()
-            .unwrap_or(u64::MAX);
         let limits = sim_cpu::RunLimits {
             stop_at: &self.fast_stop,
             wake_at,
@@ -1608,6 +1643,58 @@ mod tests {
         assert!(k.thread(tid).is_exited());
         assert!(report.total_cycles >= 100);
         assert_eq!(report.context_switches, 1);
+    }
+
+    #[test]
+    fn guest_spawn_onto_busy_cores_preempts_where_single_step_does() {
+        // Two threads on two cores, so no thread is ever ready before the
+        // spawn: "spin" runs core-local code far ahead of "spawner", which
+        // walks cold memory and then spawns a third thread while both
+        // cores are busy. The child waits for a slice to expire, and the
+        // block-stepped run must preempt "spin" at the same boundary the
+        // single-step run does, not where its run-ahead happened to stop.
+        let run = |exec| {
+            let mut a = Asm::new();
+            a.export("spin");
+            a.imm(Reg::R1, 400);
+            a.imm(Reg::R2, 0);
+            let spin = a.new_label();
+            a.bind(spin);
+            a.burst(50);
+            a.alui_sub(Reg::R1, 1);
+            a.br(Cond::Ne, Reg::R1, Reg::R2, spin);
+            a.halt();
+            a.export("spawner"); // r0 = the child's entry pc
+            a.imm(Reg::R3, 0x10_000);
+            a.imm(Reg::R1, 200);
+            a.imm(Reg::R2, 0);
+            let walk = a.new_label();
+            a.bind(walk);
+            a.load(Reg::R4, Reg::R3, 0);
+            a.alui_add(Reg::R3, 64);
+            a.alui_sub(Reg::R1, 1);
+            a.br(Cond::Ne, Reg::R1, Reg::R2, walk);
+            a.syscall(nr::SPAWN);
+            a.halt();
+            a.export("child");
+            a.burst(100);
+            a.halt();
+            let kcfg = KernelConfig {
+                quantum: 5_000,
+                exec,
+                ..Default::default()
+            };
+            let mut k = boot_cfg(a.assemble().unwrap(), 2, kcfg);
+            let child = k.machine.prog.entry("child").unwrap();
+            k.spawn("spin", &[]).unwrap();
+            k.spawn("spawner", &[child as u64]).unwrap();
+            let report = k.run().unwrap();
+            let exits: Vec<u64> = k.threads().iter().map(|t| t.stats.exited_at).collect();
+            (report, k.machine.total_retired(), exits)
+        };
+        let single = run(ExecMode::SingleStep);
+        assert_eq!(single.0.preemptions, 1, "the child must wait for a slice");
+        assert_eq!(single, run(ExecMode::Block));
     }
 
     #[test]
