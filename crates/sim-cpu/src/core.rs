@@ -95,6 +95,8 @@ impl Default for BranchPredictor {
 /// same totals as per-instruction delivery. The executor's headroom guard
 /// guarantees no *armed* counter (PMI or spill on overflow) can wrap while
 /// counts sit in the batch, which is what makes deferred delivery exact.
+/// Batching stays active for a core's whole turn in the executor,
+/// registered LiMiT read ranges included.
 #[derive(Debug, Clone)]
 pub struct BatchAccrual {
     /// Whether event deliveries are currently diverted into the batch.
@@ -103,7 +105,9 @@ pub struct BatchAccrual {
     pub counts: [u64; EventKind::COUNT],
     /// Sum of all pending counts (cheap guard arithmetic).
     pub total: u64,
-    /// Cached [`crate::pmu::Pmu::armed_headroom`] as of the last flush.
+    /// Cached [`crate::pmu::Pmu::armed_headroom`] as of the last flush, or
+    /// 0 while a flush has left an overflow side effect (PMI or spill)
+    /// pending, so the executor's guard takes its delivery path at once.
     pub headroom: u64,
 }
 
@@ -196,7 +200,11 @@ impl Core {
     /// stays in whatever `active` state it was in; only its contents move.
     pub fn flush_batch(&mut self) {
         self.deliver_batch();
-        self.batch.headroom = self.pmu.armed_headroom();
+        self.batch.headroom = if self.pmu.pmi_pending() || self.pmu.spill_journal() > 0 {
+            0
+        } else {
+            self.pmu.armed_headroom()
+        };
     }
 
     /// Delivers all batched event counts and deactivates batching, without

@@ -117,11 +117,15 @@ impl GuestMem {
 
 fn check_aligned(addr: u64) -> SimResult<()> {
     if !addr.is_multiple_of(8) {
-        return Err(SimError::Fault(format!(
-            "unaligned 64-bit access at {addr:#x}"
-        )));
+        return Err(unaligned(addr));
     }
     Ok(())
+}
+
+/// The fault a misaligned 64-bit access at `addr` raises.
+#[cold]
+pub(crate) fn unaligned(addr: u64) -> SimError {
+    SimError::Fault(format!("unaligned 64-bit access at {addr:#x}"))
 }
 
 /// A bump allocator for laying out guest data regions.

@@ -13,7 +13,7 @@ use crate::events::EventKind;
 use crate::gmem::GuestMem;
 use crate::isa::Instr;
 use crate::oracle::Oracle;
-use crate::pmu::PmuConfig;
+use crate::pmu::{Pmu, PmuConfig};
 use crate::prog::Program;
 use flight::{EventData, FlightConfig, FlightRecorder, RegionMark};
 use serde::{Deserialize, Serialize};
@@ -115,6 +115,103 @@ pub enum RunExit {
     Idle,
 }
 
+/// Arbitration key of an idle core: never the minimum.
+const IDLE_KEY: u128 = u128::MAX;
+
+/// A core's position in the cross-core arbitration order, packed so that
+/// one integer compare orders `(clock, core id)` lexicographically.
+#[inline(always)]
+fn arbitration_key(clock: u64, id: CoreId) -> u128 {
+    (clock as u128) << 32 | id.0 as u128
+}
+
+/// How an executed instruction ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// Retired without trapping.
+    Retired,
+    /// `syscall nr` retired; the kernel dispatches it.
+    Syscall(u64),
+    /// `halt` retired.
+    Halt,
+    /// The instruction faulted without retiring.
+    Fault(Fault),
+}
+
+/// Why an instruction faulted. The message is rendered only when a
+/// [`Step`] is built, off the hot path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fault {
+    /// The pc lies outside the program.
+    Fetch(u32),
+    /// A load, store or atomic at a misaligned address.
+    Unaligned(u64),
+    /// A call past the shadow stack's depth limit.
+    CallDepth,
+    /// A return with an empty shadow stack.
+    EmptyRet,
+    /// A user-mode counter read while the kernel disallows it.
+    RdpmcDenied,
+    /// A destructive read without the destructive-read extension.
+    DestructiveReadOff,
+    /// A counter read of a slot the PMU does not have.
+    Counter(u8),
+}
+
+impl Fault {
+    #[cold]
+    fn message(self, pmu: &Pmu) -> String {
+        match self {
+            Fault::Fetch(pc) => format!("pc {pc} out of program bounds"),
+            Fault::Unaligned(addr) => crate::gmem::unaligned(addr).message().to_string(),
+            Fault::CallDepth => "call stack overflow".into(),
+            Fault::EmptyRet => "ret with empty call stack".into(),
+            Fault::RdpmcDenied => "rdpmc: userspace counter access disabled".into(),
+            Fault::DestructiveReadOff => "rdpmc.clr: destructive-read extension disabled".into(),
+            Fault::Counter(idx) => pmu.index_error(idx).message().to_string(),
+        }
+    }
+}
+
+/// One executed instruction: what it charged and how it ended. A
+/// register-sized `Copy` value, so the block executor's hot loop branches
+/// on it without building a [`Step`].
+#[derive(Debug, Clone, Copy)]
+struct Exec {
+    cycles: u64,
+    instrs: u64,
+    next_pc: u32,
+    outcome: Outcome,
+}
+
+impl Exec {
+    /// A faulting fetch never issues an instruction: no cycle charge, no
+    /// PMU events — there is nothing architectural to count.
+    fn fetch_fault(pc: u32) -> Exec {
+        Exec {
+            cycles: 0,
+            instrs: 0,
+            next_pc: pc,
+            outcome: Outcome::Fault(Fault::Fetch(pc)),
+        }
+    }
+
+    /// The single-step API's view of this step.
+    fn into_step(self, pmu: &Pmu) -> Step {
+        let trap = match self.outcome {
+            Outcome::Retired => None,
+            Outcome::Syscall(nr) => Some(Trap::Syscall(nr)),
+            Outcome::Halt => Some(Trap::Halt),
+            Outcome::Fault(fault) => Some(Trap::Fault(fault.message(pmu))),
+        };
+        Step {
+            cycles: self.cycles,
+            instrs: self.instrs,
+            trap,
+        }
+    }
+}
+
 /// The machine.
 #[derive(Debug)]
 pub struct Machine {
@@ -213,6 +310,9 @@ impl Machine {
         self.cores.len()
     }
 
+    /// Delivers `n` occurrences of `event` on `core`, or defers them into
+    /// the core's batch while block-stepped accrual is active.
+    #[inline(always)]
     fn count(core: &mut Core, event: EventKind, n: u64) {
         // Block-stepped fast path: defer delivery into the per-core batch.
         // [`Machine::run_until`] flushes at counter reads, tag changes, and
@@ -234,6 +334,7 @@ impl Machine {
         }
     }
 
+    #[inline]
     fn mem_access_events(core: &mut Core, acc: &MemAccess) {
         if acc.events.l1_miss {
             Self::count(core, EventKind::L1dMisses, 1);
@@ -279,7 +380,6 @@ impl Machine {
     /// Returns the step outcome; the caller (the kernel) is responsible for
     /// handling traps and checking for pending PMIs afterwards.
     pub fn step(&mut self, core_id: CoreId) -> SimResult<Step> {
-        // Split borrows: core is taken by index, memory systems separately.
         let core_idx = core_id.index();
         if core_idx >= self.cores.len() {
             return Err(SimError::Program(format!("no such core {core_id}")));
@@ -287,285 +387,251 @@ impl Machine {
         if self.cores[core_idx].running.is_none() {
             return Err(SimError::Program(format!("{core_id} is idle")));
         }
-        self.step_impl::<false>(core_id)
-    }
-
-    /// [`Machine::step`]'s body, monomorphized over the block-stepped fast
-    /// path. With `FAST`, the per-instruction observer taps (trace ring,
-    /// differential oracle, flight recorder) compile out entirely — the
-    /// caller ([`Machine::run_until`]) has verified all three are disabled —
-    /// and the caller guarantees the core exists and has a thread installed.
-    fn step_impl<const FAST: bool>(&mut self, core_id: CoreId) -> SimResult<Step> {
-        let fault = |msg: String| Step {
-            cycles: 1,
-            instrs: 0,
-            trap: Some(Trap::Fault(msg)),
-        };
-        let core_idx = core_id.index();
-        let cost = self.cost;
-
         let pc = self.cores[core_idx].ctx.pc;
         let Some(&instr) = self.prog.fetch(pc) else {
-            // A faulting fetch never issues an instruction: no cycle charge,
-            // no PMU events — there is nothing architectural to count.
-            return Ok(Step {
-                cycles: 0,
-                instrs: 0,
-                trap: Some(Trap::Fault(format!("pc {pc} out of program bounds"))),
-            });
+            return Ok(Exec::fetch_fault(pc).into_step(&self.cores[core_idx].pmu));
         };
+        let exec = self.exec::<false>(core_idx, pc, instr);
+        // Hardware enhancement 2: self-virtualizing counters spill to guest
+        // memory without kernel involvement.
+        self.apply_spills(core_idx);
+        Ok(exec.into_step(&self.cores[core_idx].pmu))
+    }
 
-        let cycles: u64;
-        let mut instrs: u64 = 1;
-        let mut trap: Option<Trap> = None;
-        let mut next_pc = pc + 1;
-
+    /// Executes `instr`, fetched from `pc`, on core `core_idx`: the ISA's
+    /// one instruction `match`, then the step's accrual (pc advance,
+    /// clock, retired count, cycle and instruction events). A fault leaves
+    /// the pc on the faulting instruction, retires nothing and charges one
+    /// cycle. Pending self-virtualizing spills are left to the caller.
+    ///
+    /// Monomorphized over the block-stepped fast path: with `FAST`, the
+    /// per-instruction observer taps (trace ring, differential oracle,
+    /// flight recorder) compile out entirely — the caller
+    /// ([`Machine::run_until`]) has verified all three are disabled. It is
+    /// inlined into both callers, so the fast loop runs each step in place
+    /// and branches on a register-sized [`Exec`].
+    #[inline(always)]
+    fn exec<const FAST: bool>(&mut self, core_idx: usize, pc: u32, instr: Instr) -> Exec {
+        let Machine {
+            cores,
+            mem,
+            memsys,
+            cost,
+            ..
+        } = self;
+        let core = &mut cores[core_idx];
+        let core_id = core.id;
         if !FAST {
-            let core = &mut self.cores[core_idx];
-            let (clock, tid) = (core.clock, core.running);
             if let Some(trace) = &mut core.trace {
                 trace.record(crate::trace::TraceEntry {
-                    clock,
+                    clock: core.clock,
                     pc,
-                    tid,
+                    tid: core.running,
                     instr,
                 });
             }
         }
 
-        match instr {
-            Instr::Imm(rd, v) => {
-                cycles = cost.alu;
-                self.cores[core_idx].ctx.set(rd, v);
-            }
-            Instr::Mov(rd, rs) => {
-                cycles = cost.alu;
-                let v = self.cores[core_idx].ctx.get(rs);
-                self.cores[core_idx].ctx.set(rd, v);
-            }
-            Instr::Alu(op, rd, rs) => {
-                cycles = cost.alu;
-                let ctx = &mut self.cores[core_idx].ctx;
-                let v = op.apply(ctx.get(rd), ctx.get(rs));
-                ctx.set(rd, v);
-            }
-            Instr::AluImm(op, rd, v) => {
-                cycles = cost.alu;
-                let ctx = &mut self.cores[core_idx].ctx;
-                let nv = op.apply(ctx.get(rd), v);
-                ctx.set(rd, nv);
-            }
-            Instr::Burst(n) => {
-                let n = n.max(1) as u64;
-                cycles = n;
-                instrs = n;
-            }
-            Instr::Load(rd, ra, off) => {
-                let addr = self.cores[core_idx]
-                    .ctx
-                    .get(ra)
-                    .wrapping_add(off as i64 as u64);
-                match self.mem.read_u64(addr) {
-                    Ok(v) => {
-                        let now = self.cores[core_idx].clock;
-                        let acc = self.memsys.access(core_id, addr, false, now);
-                        let core = &mut self.cores[core_idx];
-                        core.ctx.set(rd, v);
-                        Self::count(core, EventKind::Loads, 1);
-                        Self::mem_access_events(core, &acc);
-                        cycles = cost.mem_issue + acc.latency;
-                    }
-                    Err(e) => {
-                        let step = fault(e.message().to_string());
-                        self.finish_step::<FAST>(core_idx, &step);
-                        return Ok(step);
-                    }
+        let mut instrs: u64 = 1;
+        let mut next_pc = pc + 1;
+        let mut outcome = Outcome::Retired;
+        let charged: Result<u64, Fault> = 'op: {
+            Ok(match instr {
+                Instr::Imm(rd, v) => {
+                    core.ctx.set(rd, v);
+                    cost.alu
                 }
-            }
-            Instr::Store(rs, ra, off) => {
-                let ctx = &self.cores[core_idx].ctx;
-                let addr = ctx.get(ra).wrapping_add(off as i64 as u64);
-                let v = ctx.get(rs);
-                match self.mem.write_u64(addr, v) {
-                    Ok(()) => {
-                        let now = self.cores[core_idx].clock;
-                        let acc = self.memsys.access(core_id, addr, true, now);
-                        let core = &mut self.cores[core_idx];
-                        Self::count(core, EventKind::Stores, 1);
-                        Self::mem_access_events(core, &acc);
-                        cycles = cost.mem_issue + acc.latency;
-                    }
-                    Err(e) => {
-                        let step = fault(e.message().to_string());
-                        self.finish_step::<FAST>(core_idx, &step);
-                        return Ok(step);
-                    }
+                Instr::Mov(rd, rs) => {
+                    let v = core.ctx.get(rs);
+                    core.ctx.set(rd, v);
+                    cost.alu
                 }
-            }
-            Instr::Xchg(rd, ra, off) | Instr::FetchAdd(rd, ra, off) => {
-                let ctx = &self.cores[core_idx].ctx;
-                let addr = ctx.get(ra).wrapping_add(off as i64 as u64);
-                let operand = ctx.get(rd);
-                let old = match self.mem.read_u64(addr) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        let step = fault(e.message().to_string());
-                        self.finish_step::<FAST>(core_idx, &step);
-                        return Ok(step);
+                Instr::Alu(op, rd, rs) => {
+                    let v = op.apply(core.ctx.get(rd), core.ctx.get(rs));
+                    core.ctx.set(rd, v);
+                    cost.alu
+                }
+                Instr::AluImm(op, rd, v) => {
+                    let nv = op.apply(core.ctx.get(rd), v);
+                    core.ctx.set(rd, nv);
+                    cost.alu
+                }
+                Instr::Burst(n) => {
+                    let n = n.max(1) as u64;
+                    instrs = n;
+                    n
+                }
+                Instr::Load(rd, ra, off) => {
+                    let addr = core.ctx.get(ra).wrapping_add(off as i64 as u64);
+                    let Ok(v) = mem.read_u64(addr) else {
+                        break 'op Err(Fault::Unaligned(addr));
+                    };
+                    let acc = memsys.access(core_id, addr, false, core.clock);
+                    core.ctx.set(rd, v);
+                    Self::count(core, EventKind::Loads, 1);
+                    Self::mem_access_events(core, &acc);
+                    cost.mem_issue + acc.latency
+                }
+                Instr::Store(rs, ra, off) => {
+                    let addr = core.ctx.get(ra).wrapping_add(off as i64 as u64);
+                    if mem.write_u64(addr, core.ctx.get(rs)).is_err() {
+                        break 'op Err(Fault::Unaligned(addr));
                     }
-                };
-                let new = match instr {
-                    Instr::Xchg(..) => operand,
-                    _ => old.wrapping_add(operand),
-                };
-                self.mem
-                    .write_u64(addr, new)
-                    .expect("write cannot fail after aligned read");
-                let now = self.cores[core_idx].clock;
-                let acc = self.memsys.access(core_id, addr, true, now);
-                let core = &mut self.cores[core_idx];
-                core.ctx.set(rd, old);
-                Self::count(core, EventKind::Loads, 1);
-                Self::count(core, EventKind::Stores, 1);
-                Self::mem_access_events(core, &acc);
-                cycles = cost.mem_issue + acc.latency + cost.atomic_penalty;
-            }
-            Instr::Br(cond, a, b, target) => {
-                let core = &mut self.cores[core_idx];
-                let taken = cond.eval(core.ctx.get(a), core.ctx.get(b));
-                let missed = core.predictor.observe(pc, taken);
-                if taken {
+                    let acc = memsys.access(core_id, addr, true, core.clock);
+                    Self::count(core, EventKind::Stores, 1);
+                    Self::mem_access_events(core, &acc);
+                    cost.mem_issue + acc.latency
+                }
+                Instr::Xchg(rd, ra, off) | Instr::FetchAdd(rd, ra, off) => {
+                    let addr = core.ctx.get(ra).wrapping_add(off as i64 as u64);
+                    let operand = core.ctx.get(rd);
+                    let Ok(old) = mem.read_u64(addr) else {
+                        break 'op Err(Fault::Unaligned(addr));
+                    };
+                    let new = match instr {
+                        Instr::Xchg(..) => operand,
+                        _ => old.wrapping_add(operand),
+                    };
+                    mem.write_u64(addr, new)
+                        .expect("write cannot fail after aligned read");
+                    let acc = memsys.access(core_id, addr, true, core.clock);
+                    core.ctx.set(rd, old);
+                    Self::count(core, EventKind::Loads, 1);
+                    Self::count(core, EventKind::Stores, 1);
+                    Self::mem_access_events(core, &acc);
+                    cost.mem_issue + acc.latency + cost.atomic_penalty
+                }
+                Instr::Br(cond, a, b, target) => {
+                    let taken = cond.eval(core.ctx.get(a), core.ctx.get(b));
+                    let missed = core.predictor.observe(pc, taken);
+                    if taken {
+                        next_pc = target;
+                    }
+                    Self::count(core, EventKind::Branches, 1);
+                    if missed {
+                        Self::count(core, EventKind::BranchMisses, 1);
+                    }
+                    cost.branch + if missed { cost.branch_miss_penalty } else { 0 }
+                }
+                Instr::Jmp(target) => {
                     next_pc = target;
+                    Self::count(core, EventKind::Branches, 1);
+                    cost.branch
                 }
-                cycles = cost.branch + if missed { cost.branch_miss_penalty } else { 0 };
-                Self::count(core, EventKind::Branches, 1);
-                if missed {
-                    Self::count(core, EventKind::BranchMisses, 1);
-                }
-            }
-            Instr::Jmp(target) => {
-                cycles = cost.branch;
-                next_pc = target;
-                let core = &mut self.cores[core_idx];
-                Self::count(core, EventKind::Branches, 1);
-            }
-            Instr::Call(target) => {
-                cycles = cost.call;
-                let core = &mut self.cores[core_idx];
-                if core.ctx.call_stack.len() >= MAX_CALL_DEPTH {
-                    let step = fault("call stack overflow".into());
-                    self.finish_step::<FAST>(core_idx, &step);
-                    return Ok(step);
-                }
-                core.ctx.call_stack.push(next_pc);
-                next_pc = target;
-            }
-            Instr::Ret => {
-                cycles = cost.call;
-                match self.cores[core_idx].ctx.call_stack.pop() {
-                    Some(ra) => next_pc = ra,
-                    None => {
-                        let step = fault("ret with empty call stack".into());
-                        self.finish_step::<FAST>(core_idx, &step);
-                        return Ok(step);
+                Instr::Call(target) => {
+                    if core.ctx.call_stack.len() >= MAX_CALL_DEPTH {
+                        break 'op Err(Fault::CallDepth);
                     }
+                    core.ctx.call_stack.push(next_pc);
+                    next_pc = target;
+                    cost.call
                 }
-            }
-            Instr::Rdpmc(rd, idx) | Instr::RdpmcClear(rd, idx) => {
-                let destructive = matches!(instr, Instr::RdpmcClear(..));
-                let core = &mut self.cores[core_idx];
-                if core.mode == Mode::User && !core.pmu.user_rdpmc() {
-                    let step = fault("rdpmc: userspace counter access disabled".into());
-                    self.finish_step::<FAST>(core_idx, &step);
-                    return Ok(step);
+                Instr::Ret => {
+                    let Some(ra) = core.ctx.call_stack.pop() else {
+                        break 'op Err(Fault::EmptyRet);
+                    };
+                    next_pc = ra;
+                    cost.call
                 }
-                if destructive && !core.pmu.config().ext_destructive_read {
-                    let step = fault("rdpmc.clr: destructive-read extension disabled".into());
-                    self.finish_step::<FAST>(core_idx, &step);
-                    return Ok(step);
-                }
-                // Deferred counts must be delivered before the counter is
-                // read; the read itself still precedes this instruction's
-                // own cycle/instruction accrual, as in per-instruction mode.
-                if core.batch.active {
-                    core.flush_batch();
-                }
-                let value = if destructive {
-                    core.pmu.read_clear(idx)
-                } else {
-                    core.pmu.read(idx)
-                };
-                match value {
-                    Ok(v) => {
-                        core.ctx.set(rd, v);
-                        cycles = cost.rdpmc;
+                Instr::Rdpmc(rd, idx) | Instr::RdpmcClear(rd, idx) => {
+                    let destructive = matches!(instr, Instr::RdpmcClear(..));
+                    if core.mode == Mode::User && !core.pmu.user_rdpmc() {
+                        break 'op Err(Fault::RdpmcDenied);
                     }
-                    Err(e) => {
-                        let step = fault(e.message().to_string());
-                        self.finish_step::<FAST>(core_idx, &step);
-                        return Ok(step);
+                    if destructive && !core.pmu.config().ext_destructive_read {
+                        break 'op Err(Fault::DestructiveReadOff);
                     }
-                }
-            }
-            Instr::Rdtsc(rd) => {
-                cycles = cost.rdtsc;
-                let clock = self.cores[core_idx].clock;
-                self.cores[core_idx].ctx.set(rd, clock);
-            }
-            Instr::SetTag(rs) => {
-                cycles = cost.settag;
-                let core = &mut self.cores[core_idx];
-                if core.pmu.config().ext_tag_filter {
-                    // Counts accrued under the old tag must be delivered
-                    // before the tag changes.
+                    // Deferred counts must be delivered before the counter
+                    // is read; the read itself still precedes this
+                    // instruction's own cycle/instruction accrual, as in
+                    // per-instruction mode.
                     if core.batch.active {
                         core.flush_batch();
                     }
-                    core.ctx.tag = core.ctx.get(rs);
+                    let value = if destructive {
+                        core.pmu.read_clear(idx)
+                    } else {
+                        core.pmu.read(idx)
+                    };
+                    let Ok(v) = value else {
+                        break 'op Err(Fault::Counter(idx));
+                    };
+                    core.ctx.set(rd, v);
+                    cost.rdpmc
                 }
+                Instr::Rdtsc(rd) => {
+                    core.ctx.set(rd, core.clock);
+                    cost.rdtsc
+                }
+                Instr::SetTag(rs) => {
+                    if core.pmu.config().ext_tag_filter {
+                        // Counts accrued under the old tag must be
+                        // delivered before the tag changes.
+                        if core.batch.active {
+                            core.flush_batch();
+                        }
+                        core.ctx.tag = core.ctx.get(rs);
+                    }
+                    cost.settag
+                }
+                Instr::Syscall(nr) => {
+                    outcome = Outcome::Syscall(nr);
+                    cost.alu
+                }
+                Instr::Nop => cost.alu,
+                Instr::Halt => {
+                    outcome = Outcome::Halt;
+                    cost.alu
+                }
+            })
+        };
+        let cycles = match charged {
+            Ok(cycles) => cycles,
+            Err(fault) => {
+                outcome = Outcome::Fault(fault);
+                instrs = 0;
+                next_pc = pc;
+                1
             }
-            Instr::Syscall(nr) => {
-                cycles = cost.alu;
-                trap = Some(Trap::Syscall(nr));
+        };
+
+        if !FAST && outcome == Outcome::Retired && self.cores[core_idx].mode == Mode::User {
+            // Oracle taps (no-ops unless enabled): an in-range `rdpmc` arms
+            // an expected value from the shadow ledger; the range's final
+            // instruction resolves the check against the architected
+            // result.
+            if self.oracle.is_some() {
+                self.oracle_observe(core_idx, pc, instr);
             }
-            Instr::Nop => {
-                cycles = cost.alu;
-            }
-            Instr::Halt => {
-                cycles = cost.alu;
-                trap = Some(Trap::Halt);
+            // Flight-recorder taps (no-ops unless enabled): region markers
+            // at the fetched pc and user-mode counter reads.
+            if self.flight.is_some() {
+                self.flight_observe(core_idx, pc, instr);
             }
         }
 
-        // Oracle taps (no-ops unless enabled): an in-range `rdpmc` arms an
-        // expected value from the shadow ledger; the range's final
-        // instruction resolves the check against the architected result.
-        if !FAST
-            && self.oracle.is_some()
-            && trap.is_none()
-            && self.cores[core_idx].mode == Mode::User
-        {
-            self.oracle_observe(core_idx, pc, instr);
+        let core = &mut self.cores[core_idx];
+        core.ctx.pc = next_pc;
+        core.clock += cycles;
+        core.retired += instrs;
+        if core.batch.active {
+            // Both per-step events in one batch update.
+            core.batch.counts[EventKind::Cycles.index()] += cycles;
+            core.batch.counts[EventKind::Instructions.index()] += instrs;
+            core.batch.total += cycles + instrs;
+        } else {
+            Self::count(core, EventKind::Cycles, cycles);
+            Self::count(core, EventKind::Instructions, instrs);
         }
-
-        // Flight-recorder taps (no-ops unless enabled): region markers at
-        // the fetched pc and user-mode counter reads.
-        if !FAST
-            && self.flight.is_some()
-            && trap.is_none()
-            && self.cores[core_idx].mode == Mode::User
-        {
-            self.flight_observe(core_idx, pc, instr);
+        if !FAST {
+            self.flush_oracle_scratch(core_idx);
         }
-
-        self.cores[core_idx].ctx.pc = next_pc;
-        let step = Step {
+        Exec {
             cycles,
             instrs,
-            trap,
-        };
-        self.finish_step::<FAST>(core_idx, &step);
-        Ok(step)
+            next_pc,
+            outcome,
+        }
     }
 
     /// Feeds one retired user-mode instruction to the oracle (see
@@ -652,46 +718,34 @@ impl Machine {
         }
     }
 
-    /// Applies clock advance, cycle/instruction counting, and pending
-    /// hardware spills for a completed step.
-    fn finish_step<const FAST: bool>(&mut self, core_idx: usize, step: &Step) {
-        {
-            let core = &mut self.cores[core_idx];
-            core.clock += step.cycles;
-            core.retired += step.instrs;
-            Self::count(core, EventKind::Cycles, step.cycles);
-            Self::count(core, EventKind::Instructions, step.instrs);
-        }
-        // Flush this step's oracle scratch into the installed thread's
-        // shadow ledger (compiled out on the fast path: the oracle is off).
-        if FAST {
-            self.apply_spills(core_idx);
+    /// Moves the core's per-step oracle scratch into the installed
+    /// thread's shadow ledger (a no-op unless the oracle is enabled).
+    fn flush_oracle_scratch(&mut self, core_idx: usize) {
+        let Some(oracle) = &mut self.oracle else {
             return;
-        }
-        if let Some(oracle) = &mut self.oracle {
-            let core = &mut self.cores[core_idx];
-            if let Some(scratch) = &mut core.oracle_scratch {
-                if let Some(tid) = core.running {
-                    for (i, v) in scratch.iter_mut().enumerate() {
-                        if *v > 0 {
-                            oracle.record(tid, EventKind::ALL[i], *v);
-                        }
-                        *v = 0;
+        };
+        let core = &mut self.cores[core_idx];
+        if let Some(scratch) = &mut core.oracle_scratch {
+            if let Some(tid) = core.running {
+                for (i, v) in scratch.iter_mut().enumerate() {
+                    if *v > 0 {
+                        oracle.record(tid, EventKind::ALL[i], *v);
                     }
-                } else {
-                    scratch.fill(0);
+                    *v = 0;
                 }
+            } else {
+                scratch.fill(0);
             }
         }
-        // Hardware enhancement 2: self-virtualizing counters spill to guest
-        // memory without kernel involvement.
-        self.apply_spills(core_idx);
     }
 
     /// Applies any pending self-virtualizing spills on `core_idx`: each
     /// spilled modulus lands in its guest-memory accumulator and the spill
     /// microcode cost lands on the clock.
     fn apply_spills(&mut self, core_idx: usize) {
+        if !self.cores[core_idx].pmu.spills_pending() {
+            return;
+        }
         let spills = self.cores[core_idx].pmu.take_spills();
         for spill in spills {
             // Spill addresses are validated (aligned) at configuration time
@@ -738,7 +792,10 @@ impl Machine {
     /// every armed slot's accrued share is bounded by the batch total, no
     /// slot can have wrapped *before* the instruction at which the flush
     /// happens. The overflow is therefore delivered at the same instruction
-    /// boundary per-instruction accrual would deliver it.
+    /// boundary per-instruction accrual would deliver it. The argument
+    /// holds inside registered LiMiT read ranges too, so batching continues
+    /// through them: a fold the kernel must rewind still lands at the exact
+    /// in-range pc.
     pub fn run_until(&mut self, limits: &RunLimits) -> SimResult<RunExit> {
         // One gate check per run (not per instruction): with every
         // per-instruction observer off, steps dispatch to the monomorphized
@@ -756,27 +813,27 @@ impl Machine {
         // stays schedulable.
         const INLINE_CORES: usize = 64;
         let n = self.cores.len();
-        let mut inline = [(u64::MAX, u32::MAX); INLINE_CORES];
+        let mut inline = [IDLE_KEY; INLINE_CORES];
         let mut heap = Vec::new();
-        let keys: &mut [(u64, u32)] = if n <= INLINE_CORES {
+        let keys: &mut [u128] = if n <= INLINE_CORES {
             &mut inline[..n]
         } else {
-            heap.resize(n, (u64::MAX, u32::MAX));
+            heap.resize(n, IDLE_KEY);
             &mut heap
         };
         for (key, c) in keys.iter_mut().zip(&self.cores) {
             if c.is_busy() {
-                *key = (c.clock, c.id.0);
+                *key = arbitration_key(c.clock, c.id);
             }
         }
         let exit = loop {
-            // Two-minimum scan, lexicographic on (clock, core id) — the
+            // Two-minimum scan over packed (clock, core id) keys — the
             // same first-minimum the single-step loop's `next_busy_core`
             // picks each instruction. Idle cores sit at the MAX sentinel
             // and can never win (a real clock never reaches u64::MAX).
             let mut first = usize::MAX;
-            let mut first_key = (u64::MAX, u32::MAX);
-            let mut others_min = (u64::MAX, u32::MAX);
+            let mut first_key = IDLE_KEY;
+            let mut others_min = IDLE_KEY;
             for (i, &key) in keys.iter().enumerate() {
                 if key < first_key {
                     others_min = first_key;
@@ -790,9 +847,9 @@ impl Machine {
                 break RunExit::Idle;
             }
             let r = if fast {
-                self.run_core::<true>(first, others_min, limits)?
+                self.run_core::<true>(first, others_min, limits)
             } else {
-                self.run_core::<false>(first, others_min, limits)?
+                self.run_core::<false>(first, others_min, limits)
             };
             match r {
                 Some(exit) => break exit,
@@ -800,7 +857,7 @@ impl Machine {
                 // minimum; update the mover's key and continue there.
                 None => {
                     let c = &self.cores[first];
-                    keys[first] = (c.clock, c.id.0);
+                    keys[first] = arbitration_key(c.clock, c.id);
                 }
             }
         };
@@ -810,29 +867,46 @@ impl Machine {
 
     /// Runs the thread on core `idx` until a kernel-visible event (`Some`)
     /// or until another core becomes the arbitration minimum (`None`).
+    /// `others_min` is the smallest [`arbitration_key`] among the other
+    /// busy cores.
     fn run_core<const FAST: bool>(
         &mut self,
         idx: usize,
-        others_min: (u64, u32),
+        others_min: u128,
         limits: &RunLimits,
-    ) -> SimResult<Option<RunExit>> {
+    ) -> Option<RunExit> {
         let id = self.cores[idx].id;
         let stop = limits.stop_at.get(idx).copied().unwrap_or(u64::MAX);
-        // An unconsumed spill journal must reach the kernel before this
-        // core executes anything further: the kernel consults the journal
-        // only for the arbitration-minimum core, so a journaled core that
-        // stepped here could execute an instruction the restart fix-up is
-        // about to rewind over — running it twice and diverging from
-        // single-step. Checked once at entry, not per instruction: the
-        // post-step check below returns the moment a step journals a
-        // spill, so the journal is provably zero at every later iteration.
+        let wake_at = limits.wake_at;
+        // The stop threshold and the sleeper wake-up are both pre-step
+        // poll points: one compare against the earlier covers both.
+        let poll_at = stop.min(wake_at);
+        let ahead = |clock: u64| arbitration_key(clock, id) >= others_min;
         {
-            let core = &self.cores[idx];
+            let core = &mut self.cores[idx];
+            // An unconsumed spill journal must reach the kernel before
+            // this core executes anything further: the kernel consults the
+            // journal only for the arbitration-minimum core, so a
+            // journaled core that stepped here could execute an
+            // instruction the restart fix-up is about to rewind over —
+            // running it twice and diverging from single-step.
             if core.pmu.spill_journal() > 0 {
-                let ahead = (core.clock, id.0) >= others_min;
-                return Ok((!ahead).then_some(RunExit::SpillJournal(id)));
+                return (!ahead(core.clock)).then_some(RunExit::SpillJournal(id));
+            }
+            // A PMI left pending by an earlier rotation. Within the loop
+            // below, PMU state changes only when the batch is delivered,
+            // so the journal and PMI checks run only after a delivery.
+            if core.pmu.pmi_pending() {
+                return (!ahead(core.clock)).then_some(RunExit::Pmi(id));
+            }
+            if !core.batch.active {
+                core.batch.active = true;
+                core.batch.headroom = core.pmu.armed_headroom();
             }
         }
+        // The core's pc and clock, carried across steps in registers.
+        let mut pc = self.cores[idx].ctx.pc;
+        let mut clock = self.cores[idx].clock;
         loop {
             // Pre-instruction poll points: the checks the single-step
             // kernel loop runs between steps. A kernel-visible exit may
@@ -842,68 +916,61 @@ impl Machine {
             // rotates (`None`): the exit fires once the core is picked as
             // the minimum again, in exact legacy order.
             let core = &self.cores[idx];
-            let ahead = (core.clock, id.0) >= others_min;
-            if core.clock >= stop {
-                return Ok((!ahead).then_some(RunExit::StopClock(id)));
+            debug_assert_eq!((pc, clock), (core.ctx.pc, core.clock));
+            let is_ahead = ahead(clock);
+            if clock >= poll_at {
+                let exit = if clock >= stop {
+                    RunExit::StopClock(id)
+                } else {
+                    RunExit::Wake(id)
+                };
+                return (!is_ahead).then_some(exit);
             }
-            if core.clock >= limits.wake_at {
-                return Ok((!ahead).then_some(RunExit::Wake(id)));
-            }
-            if core.pmu.pmi_pending() {
-                return Ok((!ahead).then_some(RunExit::Pmi(id)));
-            }
-            let pc = core.ctx.pc;
             if let Some(armed) = limits.armed_pcs {
                 if armed.get(pc as usize).copied().unwrap_or(false) {
-                    return Ok((!ahead).then_some(RunExit::Boundary(id)));
+                    return (!is_ahead).then_some(RunExit::Boundary(id));
                 }
             }
-            // Registered LiMiT read sequences keep direct per-instruction
-            // accrual: per-pc precision is what the restart fix-up relies
-            // on. The batch stays settled across a whole in-range sequence
-            // and reactivates at the first out-of-range pc.
-            let in_range = limits.in_limit.get(pc as usize).copied().unwrap_or(false);
-            if ahead {
+            let Some(&instr) = self.prog.fetch(pc) else {
+                // A faulting fetch issues nothing; only the arbitration
+                // minimum may report it.
+                return (!is_ahead)
+                    .then(|| RunExit::Trap(id, Exec::fetch_fault(pc).into_step(&core.pmu)));
+            };
+            if is_ahead {
                 // Run-ahead: a core past the arbitration minimum may keep
                 // executing *core-local* instructions — they commute with
                 // every other core's execution, so the memory-system event
                 // stream and the order of kernel-visible events are
                 // unchanged (instructions that touch shared state rotate
-                // and wait their turn). The cost bound keeps the step from
-                // crossing a sleeper wake-up, whose boundary is defined by
-                // the first post-step clock to reach it on *any* core.
-                if in_range || self.cores[idx].clock >= self.cores[idx].ahead_horizon {
-                    return Ok(None);
+                // and wait their turn). It may not step inside a
+                // registered LiMiT read range, nor at or past its
+                // kernel-set horizon, where a preemption could depend on
+                // another core's earlier event. The cost bound keeps the
+                // step from crossing a sleeper wake-up, whose boundary is
+                // defined by the first post-step clock to reach it on
+                // *any* core.
+                let in_range = limits.in_limit.get(pc as usize).copied().unwrap_or(false);
+                if in_range || clock >= core.ahead_horizon {
+                    return None;
                 }
-                match self
-                    .prog
-                    .fetch(pc)
-                    .and_then(|i| i.run_ahead_bound(&self.cost))
-                {
-                    Some(bound) if self.cores[idx].clock.saturating_add(bound) < limits.wake_at => {
-                    }
-                    _ => return Ok(None),
-                }
-            }
-            {
-                let core = &mut self.cores[idx];
-                if in_range {
-                    if core.batch.active {
-                        core.settle_batch();
-                    }
-                } else if !core.batch.active {
-                    core.batch.active = true;
-                    core.batch.headroom = core.pmu.armed_headroom();
+                match instr.run_ahead_bound(&self.cost) {
+                    Some(bound) if clock.saturating_add(bound) < wake_at => {}
+                    _ => return None,
                 }
             }
-            let step = self.step_impl::<FAST>(id)?;
-            let core = &mut self.cores[idx];
-            if core.batch.active && core.batch.total >= core.batch.headroom {
+            let exec = self.exec::<FAST>(idx, pc, instr);
+            pc = exec.next_pc;
+            clock += exec.cycles;
+            let core = &self.cores[idx];
+            let delivered = core.batch.total >= core.batch.headroom;
+            if delivered {
                 // An armed counter may have wrapped during this
                 // instruction: deliver now, so the PMI or spill lands at
                 // the same boundary per-instruction accrual gives it.
-                core.flush_batch();
-                self.apply_spills(idx);
+                // Spills raised by the delivery charge the clock.
+                self.deliver_batch(idx);
+                clock = self.cores[idx].clock;
             }
             // Post-step exits fire regardless of run-ahead: a trap here can
             // only be a fault (syscalls/halts never run ahead), which
@@ -914,17 +981,31 @@ impl Machine {
             // instruction boundary after any core's clock crosses the
             // deadline — the run-ahead cost bound above guarantees an
             // ahead core cannot be the one that crosses it.
-            if step.trap.is_some() {
-                return Ok(Some(RunExit::Trap(id, step)));
-            }
             let core = &self.cores[idx];
-            if core.pmu.spill_journal() > 0 {
-                return Ok(Some(RunExit::SpillJournal(id)));
+            if exec.outcome != Outcome::Retired {
+                return Some(RunExit::Trap(id, exec.into_step(&core.pmu)));
             }
-            if core.clock >= limits.wake_at {
-                return Ok(Some(RunExit::Wake(id)));
+            if delivered && core.pmu.spill_journal() > 0 {
+                return Some(RunExit::SpillJournal(id));
+            }
+            if clock >= wake_at {
+                return Some(RunExit::Wake(id));
+            }
+            if delivered && core.pmu.pmi_pending() {
+                return (!ahead(clock)).then_some(RunExit::Pmi(id));
             }
         }
+    }
+
+    /// Delivers core `idx`'s batched counts and applies any spills the
+    /// delivery raised — the executor's cold path, taken when an armed
+    /// counter could have wrapped or an in-arm flush left an overflow
+    /// pending.
+    #[cold]
+    #[inline(never)]
+    fn deliver_batch(&mut self, idx: usize) {
+        self.cores[idx].flush_batch();
+        self.apply_spills(idx);
     }
 
     /// Delivers every core's outstanding batched counts and deactivates

@@ -235,12 +235,18 @@ impl Pmu {
     fn check_idx(&self, idx: u8) -> SimResult<usize> {
         let i = idx as usize;
         if i >= self.slots.len() {
-            return Err(SimError::Resource(format!(
-                "counter index {idx} out of range (PMU has {})",
-                self.slots.len()
-            )));
+            return Err(self.index_error(idx));
         }
         Ok(i)
+    }
+
+    /// The error an access to the nonexistent counter `idx` raises.
+    #[cold]
+    pub(crate) fn index_error(&self, idx: u8) -> SimError {
+        SimError::Resource(format!(
+            "counter index {idx} out of range (PMU has {})",
+            self.slots.len()
+        ))
     }
 
     /// Programs counter `idx` (kernel-privileged operation).
@@ -398,6 +404,11 @@ impl Pmu {
     /// Whether an overflow interrupt is pending.
     pub fn pmi_pending(&self) -> bool {
         !self.pending_pmi.is_empty()
+    }
+
+    /// Whether hardware spills (enhancement 2) await the machine.
+    pub fn spills_pending(&self) -> bool {
+        !self.pending_spills.is_empty()
     }
 
     /// Drains pending hardware spills (enhancement 2); the machine applies
