@@ -184,13 +184,8 @@ impl Core {
     /// mode and tag. Contents move; `active` and `headroom` are untouched.
     fn deliver_batch(&mut self) {
         if self.batch.total > 0 {
-            let tag = self.ctx.tag;
-            for (i, v) in self.batch.counts.iter_mut().enumerate() {
-                if *v > 0 {
-                    self.pmu.count(EventKind::ALL[i], *v, self.mode, tag);
-                    *v = 0;
-                }
-            }
+            self.pmu
+                .count_batch(&mut self.batch.counts, self.mode, self.ctx.tag);
             self.batch.total = 0;
         }
     }

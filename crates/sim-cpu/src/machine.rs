@@ -115,14 +115,21 @@ pub enum RunExit {
     Idle,
 }
 
-/// Arbitration key of an idle core: never the minimum.
+/// Arbitration key bounding the only busy core's turn: never reached.
 const IDLE_KEY: u128 = u128::MAX;
 
 /// A core's position in the cross-core arbitration order, packed so that
-/// one integer compare orders `(clock, core id)` lexicographically.
+/// one integer compare orders `(clock, core index)` lexicographically —
+/// the order in which the single-step loop's `next_busy_core` picks.
 #[inline(always)]
-fn arbitration_key(clock: u64, id: CoreId) -> u128 {
-    (clock as u128) << 32 | id.0 as u128
+fn arbitration_key(clock: u64, idx: usize) -> u128 {
+    (clock as u128) << 32 | idx as u128
+}
+
+/// The core index packed into an [`arbitration_key`].
+#[inline(always)]
+fn core_index(key: u128) -> usize {
+    (key as u32) as usize
 }
 
 /// How an executed instruction ended.
@@ -803,14 +810,15 @@ impl Machine {
         let fast = self.oracle.is_none()
             && self.flight.is_none()
             && self.cores.iter().all(|c| c.trace.is_none());
-        // Busy-key snapshot: within a run, only the picked core's clock
-        // moves (the busy set and every other clock change only through
-        // kernel actions, which happen outside `run_until`), so the
-        // rotation scan can run over this compact array instead of
-        // touching every `Core` each time. A 64-entry stack buffer covers
-        // every realistic topology; wider machines spill to a heap buffer
-        // (one allocation per run, not per instruction) so every core
-        // stays schedulable.
+        // Busy cores' arbitration keys, sorted ascending: the head is the
+        // core the single-step loop's `next_busy_core` would pick, and the
+        // entry after it bounds that core's turn. Within a run only the
+        // running core's clock moves (the busy set and every other clock
+        // change only through kernel actions, which happen outside
+        // `run_until`), so a rotation re-inserts just the mover's key. A
+        // 64-entry stack buffer covers every realistic topology; wider
+        // machines spill to a heap buffer (one allocation per run, not per
+        // instruction) so every core stays schedulable.
         const INLINE_CORES: usize = 64;
         let n = self.cores.len();
         let mut inline = [IDLE_KEY; INLINE_CORES];
@@ -821,43 +829,38 @@ impl Machine {
             heap.resize(n, IDLE_KEY);
             &mut heap
         };
-        for (key, c) in keys.iter_mut().zip(&self.cores) {
+        let mut busy = 0;
+        for (i, c) in self.cores.iter().enumerate() {
             if c.is_busy() {
-                *key = arbitration_key(c.clock, c.id);
+                keys[busy] = arbitration_key(c.clock, i);
+                busy += 1;
             }
         }
+        let keys = &mut keys[..busy];
+        keys.sort_unstable();
         let exit = loop {
-            // Two-minimum scan over packed (clock, core id) keys — the
-            // same first-minimum the single-step loop's `next_busy_core`
-            // picks each instruction. Idle cores sit at the MAX sentinel
-            // and can never win (a real clock never reaches u64::MAX).
-            let mut first = usize::MAX;
-            let mut first_key = IDLE_KEY;
-            let mut others_min = IDLE_KEY;
-            for (i, &key) in keys.iter().enumerate() {
-                if key < first_key {
-                    others_min = first_key;
-                    first_key = key;
-                    first = i;
-                } else if key < others_min {
-                    others_min = key;
-                }
-            }
-            if first == usize::MAX {
+            let Some(&head) = keys.first() else {
                 break RunExit::Idle;
-            }
+            };
+            let idx = core_index(head);
+            let others_min = keys.get(1).copied().unwrap_or(IDLE_KEY);
             let r = if fast {
-                self.run_core::<true>(first, others_min, limits)
+                self.run_core::<true>(idx, others_min, limits)
             } else {
-                self.run_core::<false>(first, others_min, limits)
+                self.run_core::<false>(idx, others_min, limits)
             };
             match r {
                 Some(exit) => break exit,
                 // Budget rotation: another core became the arbitration
-                // minimum; update the mover's key and continue there.
+                // minimum; move the mover's key to its sorted place.
                 None => {
-                    let c = &self.cores[first];
-                    keys[first] = arbitration_key(c.clock, c.id);
+                    let moved = arbitration_key(self.cores[idx].clock, idx);
+                    let mut j = 0;
+                    while j + 1 < keys.len() && keys[j + 1] < moved {
+                        keys[j] = keys[j + 1];
+                        j += 1;
+                    }
+                    keys[j] = moved;
                 }
             }
         };
@@ -868,7 +871,7 @@ impl Machine {
     /// Runs the thread on core `idx` until a kernel-visible event (`Some`)
     /// or until another core becomes the arbitration minimum (`None`).
     /// `others_min` is the smallest [`arbitration_key`] among the other
-    /// busy cores.
+    /// busy cores ([`IDLE_KEY`] when there is none).
     fn run_core<const FAST: bool>(
         &mut self,
         idx: usize,
@@ -881,7 +884,7 @@ impl Machine {
         // The stop threshold and the sleeper wake-up are both pre-step
         // poll points: one compare against the earlier covers both.
         let poll_at = stop.min(wake_at);
-        let ahead = |clock: u64| arbitration_key(clock, id) >= others_min;
+        let ahead = |clock: u64| arbitration_key(clock, idx) >= others_min;
         {
             let core = &mut self.cores[idx];
             // An unconsumed spill journal must reach the kernel before

@@ -191,7 +191,11 @@ pub struct Pmu {
     /// `subscribers[EventKind::index()]` = slot numbers (ascending) whose
     /// configuration counts that event. Rebuilt on configure/disable.
     subscribers: [Vec<u8>; EventKind::COUNT],
+    /// Bit `EventKind::index()` set iff that event has a subscriber.
+    subscribed: u32,
 }
+
+const _: () = assert!(EventKind::COUNT <= u32::BITS as usize);
 
 impl Pmu {
     /// Builds a PMU from a validated config.
@@ -206,6 +210,7 @@ impl Pmu {
             overflows: 0,
             spill_journal: 0,
             subscribers: Default::default(),
+            subscribed: 0,
         })
     }
 
@@ -215,9 +220,11 @@ impl Pmu {
         for list in &mut self.subscribers {
             list.clear();
         }
+        self.subscribed = 0;
         for (i, slot) in self.slots.iter().enumerate() {
             if let Some(cfg) = slot.cfg {
                 self.subscribers[cfg.event.index()].push(i as u8);
+                self.subscribed |= 1 << cfg.event.index();
             }
         }
     }
@@ -394,6 +401,20 @@ impl Pmu {
                 }
             }
         }
+    }
+
+    /// Delivers a batch of per-event counts (indexed by
+    /// [`EventKind::index`]) in ascending event order, as that many
+    /// [`Pmu::count`] calls would, and zeroes the batch. Events no slot
+    /// subscribes to cannot change any state, so they cost no call.
+    pub fn count_batch(&mut self, counts: &mut [u64; EventKind::COUNT], mode: Mode, core_tag: u64) {
+        let mut events = self.subscribed;
+        while events != 0 {
+            let i = events.trailing_zeros() as usize;
+            events &= events - 1;
+            self.count(EventKind::ALL[i], counts[i], mode, core_tag);
+        }
+        *counts = [0; EventKind::COUNT];
     }
 
     /// Takes the next pending overflow interrupt, if any (FIFO, O(1)).
