@@ -10,9 +10,23 @@
 //! kernel's restart fix-up can rewind execution onto it.
 //!
 //! The executor ([`crate::machine::Machine::run_until`]) consumes the
-//! per-pc `in_limit` table (in-range pcs run with direct per-instruction
-//! PMU accrual); the block partition itself is the specification the
-//! boundary proptests and the differential harness check against.
+//! per-pc `in_limit` table. In-range pcs batch their PMU accrual like any
+//! other pc — the executor's headroom guard delivers every overflow at
+//! the instruction boundary per-instruction accrual would, so a fold the
+//! restart fix-up rewinds still lands at the exact in-range pc — but they
+//! never run ahead of the cross-core arbitration minimum. The block
+//! partition itself is the specification the boundary proptests and the
+//! differential harness check against.
+//!
+//! The executor runs each step in place: it fetches the instruction,
+//! executes it through the same `match` [`crate::machine::Machine::step`]
+//! uses, and accrues cycles, instructions and events into the core's
+//! batch, with no per-step `Step` value. Run-ahead has two more limits,
+//! both set by the kernel per core as
+//! [`crate::core::Core::ahead_horizon`]: an ahead core does not step at
+//! or past its slice end when a thread made ready mid-run could find every
+//! eligible core busy, and it does not run ahead at all while the kernel
+//! runs until one thread's exit.
 
 use crate::isa::Instr;
 use crate::prog::Program;

@@ -105,9 +105,7 @@ pub struct BatchAccrual {
     pub counts: [u64; EventKind::COUNT],
     /// Sum of all pending counts (cheap guard arithmetic).
     pub total: u64,
-    /// Cached [`crate::pmu::Pmu::armed_headroom`] as of the last flush, or
-    /// 0 while a flush has left an overflow side effect (PMI or spill)
-    /// pending, so the executor's guard takes its delivery path at once.
+    /// Cached [`crate::pmu::Pmu::armed_headroom`] as of the last flush.
     pub headroom: u64,
 }
 
@@ -195,11 +193,7 @@ impl Core {
     /// stays in whatever `active` state it was in; only its contents move.
     pub fn flush_batch(&mut self) {
         self.deliver_batch();
-        self.batch.headroom = if self.pmu.pmi_pending() || self.pmu.spill_journal() > 0 {
-            0
-        } else {
-            self.pmu.armed_headroom()
-        };
+        self.batch.headroom = self.pmu.armed_headroom();
     }
 
     /// Delivers all batched event counts and deactivates batching, without

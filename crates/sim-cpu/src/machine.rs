@@ -87,8 +87,8 @@ pub struct RunLimits<'a> {
     /// pc is an execution boundary the kernel single-steps across.
     pub armed_pcs: Option<&'a [bool]>,
     /// Per-pc registered-LiMiT-range table (from
-    /// [`crate::block::BlockMap`]): in-range pcs execute with direct
-    /// per-instruction accrual.
+    /// [`crate::block::BlockMap`]): in-range pcs never run ahead of the
+    /// arbitration minimum.
     pub in_limit: &'a [bool],
 }
 
@@ -897,8 +897,11 @@ impl Machine {
                 return (!ahead(core.clock)).then_some(RunExit::SpillJournal(id));
             }
             // A PMI left pending by an earlier rotation. Within the loop
-            // below, PMU state changes only when the batch is delivered,
-            // so the journal and PMI checks run only after a delivery.
+            // below, only the guard's delivery can raise a PMI or spill:
+            // the guard keeps the batch total below the armed headroom at
+            // every instruction boundary, so an `rdpmc`/`settag` in-arm
+            // flush cannot wrap an armed counter. The journal and PMI
+            // checks therefore run only after a guard delivery.
             if core.pmu.pmi_pending() {
                 return (!ahead(core.clock)).then_some(RunExit::Pmi(id));
             }
@@ -985,6 +988,10 @@ impl Machine {
             // deadline — the run-ahead cost bound above guarantees an
             // ahead core cannot be the one that crosses it.
             let core = &self.cores[idx];
+            debug_assert!(
+                delivered || !(core.pmu.pmi_pending() || core.pmu.spill_journal() > 0),
+                "an overflow side effect appeared without a guard delivery"
+            );
             if exec.outcome != Outcome::Retired {
                 return Some(RunExit::Trap(id, exec.into_step(&core.pmu)));
             }
@@ -1203,8 +1210,9 @@ mod tests {
         // wrap point: they overflow at the same instruction. The block
         // executor's armed-headroom guard must deliver both PMIs at that
         // exact instruction boundary (not one flush late), matching
-        // single-step, and in slot order.
-        let run = |block: bool| {
+        // single-step, and in slot order — also when every pc lies inside
+        // a registered LiMiT range, where accrual stays batched.
+        let run = |block: bool, in_range: bool| {
             let cfg = MachineConfig::new(2)
                 .with_hierarchy(HierarchyConfig::tiny())
                 .with_pmu(PmuConfig {
@@ -1221,7 +1229,7 @@ mod tests {
             pmu.write(0, 256 - 10).unwrap();
             pmu.write(1, 256 - 10).unwrap();
             if block {
-                let in_limit = vec![false; 16];
+                let in_limit = vec![in_range; 16];
                 let stop = [u64::MAX, u64::MAX];
                 let limits = RunLimits {
                     stop_at: &stop,
@@ -1248,12 +1256,15 @@ mod tests {
                 core.pmu.read(1).unwrap(),
             )
         };
-        let single = run(false);
-        let block = run(true);
-        assert_eq!(
-            single, block,
-            "block-mode simultaneous overflow diverged from single-step"
-        );
+        let single = run(false, false);
+        for in_range in [false, true] {
+            assert_eq!(
+                single,
+                run(true, in_range),
+                "block-mode simultaneous overflow diverged from single-step \
+                 (in range: {in_range})"
+            );
+        }
         assert_eq!(single.1, vec![0, 1], "both PMIs, slot order");
     }
 

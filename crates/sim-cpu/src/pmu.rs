@@ -539,6 +539,44 @@ mod tests {
     }
 
     #[test]
+    fn count_batch_matches_one_count_per_event() {
+        let cfg = PmuConfig {
+            counter_bits: 8,
+            ext_self_virtualizing: true,
+            ..Default::default()
+        };
+        let program = |p: &mut Pmu| {
+            p.configure(0, CounterCfg::user(EventKind::Loads).with_pmi())
+                .unwrap();
+            p.configure(1, CounterCfg::user(EventKind::Cycles).with_spill(0x80))
+                .unwrap();
+            p.configure(2, CounterCfg::user(EventKind::Instructions).with_pmi())
+                .unwrap();
+            p.write(2, 250).unwrap();
+        };
+        let mut batched = Pmu::new(cfg).unwrap();
+        let mut single = Pmu::new(cfg).unwrap();
+        program(&mut batched);
+        program(&mut single);
+        let mut counts = [0u64; EventKind::COUNT];
+        for (i, n) in counts.iter_mut().enumerate() {
+            *n = 100 * i as u64 + 7;
+        }
+        for (i, &n) in counts.iter().enumerate() {
+            single.count(EventKind::ALL[i], n, Mode::User, 0);
+        }
+        batched.count_batch(&mut counts, Mode::User, 0);
+        assert_eq!(counts, [0; EventKind::COUNT], "batch is drained");
+        for idx in 0..3 {
+            assert_eq!(batched.read(idx).unwrap(), single.read(idx).unwrap());
+        }
+        assert_eq!(batched.take_spills(), single.take_spills());
+        assert_eq!(batched.spill_journal(), single.spill_journal());
+        let drain = |p: &mut Pmu| std::iter::from_fn(|| p.take_pmi()).collect::<Vec<_>>();
+        assert_eq!(drain(&mut batched), drain(&mut single));
+    }
+
+    #[test]
     fn overflow_wraps_and_raises_pmi() {
         let mut p = Pmu::new(PmuConfig {
             counter_bits: 8, // wrap at 256

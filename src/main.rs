@@ -570,7 +570,7 @@ fn usage() {
           [--interval CYCLES] [--capacity N] [--out-dir DIR]
                                                         live telemetry stream
                                                         (logstore/proxy add Slow I/O)
-  fleet <mysqld|memcached|proxy> [--instances N] [--arrival-rate R] [--burst F]
+  fleet <mysqld|memcached|logstore|proxy> [--instances N] [--arrival-rate R] [--burst F]
         [--jobs N] [--slots N] [--threads N] [--queries N] [--seed S]
         [--interval CYCLES] [--capacity N] [--out-dir DIR]
                                                         open-loop fleet simulation
