@@ -1009,8 +1009,7 @@ impl Machine {
 
     /// Delivers core `idx`'s batched counts and applies any spills the
     /// delivery raised — the executor's cold path, taken when an armed
-    /// counter could have wrapped or an in-arm flush left an overflow
-    /// pending.
+    /// counter could have wrapped.
     #[cold]
     #[inline(never)]
     fn deliver_batch(&mut self, idx: usize) {
