@@ -407,7 +407,12 @@ impl Pmu {
     /// [`EventKind::index`]) in ascending event order, as that many
     /// [`Pmu::count`] calls would, and zeroes the batch. Events no slot
     /// subscribes to cannot change any state, so they cost no call.
-    pub fn count_batch(&mut self, counts: &mut [u64; EventKind::COUNT], mode: Mode, core_tag: u64) {
+    pub(crate) fn count_batch(
+        &mut self,
+        counts: &mut [u64; EventKind::COUNT],
+        mode: Mode,
+        core_tag: u64,
+    ) {
         let mut events = self.subscribed;
         while events != 0 {
             let i = events.trailing_zeros() as usize;
@@ -428,7 +433,7 @@ impl Pmu {
     }
 
     /// Whether hardware spills (enhancement 2) await the machine.
-    pub fn spills_pending(&self) -> bool {
+    pub(crate) fn spills_pending(&self) -> bool {
         !self.pending_spills.is_empty()
     }
 
