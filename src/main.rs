@@ -82,6 +82,8 @@ fn run_one(name: &str) -> Result<String, String> {
         "e1" => {
             let rows = bench::e1::run(5_000).map_err(fail)?;
             let _ = writeln!(w, "{}", bench::e1::table(&rows));
+            let multi = bench::e1::run_multi(2_000).map_err(fail)?;
+            let _ = writeln!(w, "{}", bench::e1::multi_table(&multi));
         }
         "e2" => {
             let rows = bench::e2::run(&[1, 4, 8, 16], 120, 8).map_err(fail)?;
@@ -113,6 +115,28 @@ fn run_one(name: &str) -> Result<String, String> {
             let result = bench::e6::run(&cfg, 8).map_err(fail)?;
             let _ = writeln!(w, "{}", bench::e6::table(&result));
             let _ = writeln!(w, "{}", bench::e6::histograms(&result));
+            // The title operation: rank the instrumented regions and name
+            // the bottleneck.
+            let records = result.run.session.all_records().map_err(fail)?;
+            let ranking = analysis::BottleneckReport::from_records(
+                &records,
+                &result.run.session.regions,
+                result.report.total_cycles,
+                0,
+            );
+            let _ = writeln!(
+                w,
+                "\n{}",
+                ranking.table("bottleneck ranking (share of user cycles)")
+            );
+            if let Some(top) = ranking.heaviest() {
+                let _ = writeln!(
+                    w,
+                    "identified bottleneck: `{}` ({:.1}% of cycles)",
+                    top.name,
+                    top.share * 100.0
+                );
+            }
         }
         "e7" => {
             let rows = bench::e7::run(&[1, 2, 4, 8, 16, 32], 100, 8).map_err(fail)?;
