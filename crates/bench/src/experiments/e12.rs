@@ -34,7 +34,7 @@ pub struct E12Row {
 /// Sweeps the stripe count under full LiMiT instrumentation.
 pub fn run(stripe_counts: &[u64], cores: usize) -> SimResult<Vec<E12Row>> {
     let events = [EventKind::Cycles];
-    let rows = crate::parallel::parmap(stripe_counts.to_vec(), |stripes| {
+    let rows = sim_core::parallel::parmap(stripe_counts.to_vec(), |stripes| {
         let cfg = MemcachedConfig {
             workers: 16,
             ops_per_worker: 250,

@@ -50,7 +50,7 @@ pub fn run(cfg: &FirefoxConfig, periods: &[u64]) -> SimResult<Vec<E5Row>> {
         );
     }
 
-    crate::parallel::parmap(periods.to_vec(), |period| {
+    sim_core::parallel::parmap(periods.to_vec(), |period| {
         let sampler = SamplingSetup::new(EventKind::Cycles, period);
         let sampled = firefox::run(cfg, &sampler, 4, &[], KernelConfig::default())?;
         let samples = sampled.session.kernel.all_samples();

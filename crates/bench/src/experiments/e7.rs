@@ -39,7 +39,7 @@ pub struct E7Row {
 /// Runs the thread sweep (arms in parallel on the host).
 pub fn run(thread_counts: &[usize], queries: u64, cores: usize) -> SimResult<Vec<E7Row>> {
     let events = [EventKind::Cycles];
-    crate::parallel::parmap(thread_counts.to_vec(), |threads| {
+    sim_core::parallel::parmap(thread_counts.to_vec(), |threads| {
         let cfg = MysqlConfig {
             threads,
             queries_per_thread: queries,
@@ -113,27 +113,4 @@ pub fn table(rows: &[E7Row]) -> Table {
         ]);
     }
     t
-}
-
-/// Convenience: builds a full lock report for one thread count (used by
-/// tests asserting which class dominates).
-pub fn lock_report(threads: usize, queries: u64, cores: usize) -> SimResult<LockReport> {
-    let events = [EventKind::Cycles];
-    let cfg = MysqlConfig {
-        threads,
-        queries_per_thread: queries,
-        ..MysqlConfig::default()
-    };
-    let reader = LimitReader::with_events(events.to_vec());
-    let run = mysqld::run(&cfg, &reader, cores, &events, KernelConfig::default())?;
-    let records = run.session.all_records()?;
-    let regions = run.image.regions;
-    let classes: Vec<(&str, u64, u64)> = regions
-        .acq_regions()
-        .iter()
-        .zip(regions.hold_regions().iter())
-        .map(|(&(acq, name), &(hold, _))| (name, acq, hold))
-        .collect();
-    let total_user = run.session.counter_grand_total(0)?;
-    Ok(LockReport::build(&records, &classes, total_user))
 }

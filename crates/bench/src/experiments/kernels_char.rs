@@ -128,8 +128,3 @@ pub fn prefetch_table(rows: &[(&'static str, u32, u64)]) -> Table {
     }
     t
 }
-
-/// Fetches a kernel row.
-pub fn row<'a>(rows: &'a [KernelRow], name: &str) -> Option<&'a KernelRow> {
-    rows.iter().find(|r| r.name == name)
-}

@@ -1,15 +1,8 @@
-//! Shared experiment drivers for the `exp_*` binaries and criterion
-//! benches. Each experiment in DESIGN.md §4 has a function here that
-//! produces its table(s); the binaries print them, the benches time the
-//! underlying simulator.
+//! The experiment library behind `limit-repro run`. Each experiment in
+//! DESIGN.md §4 has a module here that runs it and renders its table(s);
+//! the driver prints them and records them in `results/<name>.json`.
 
 pub mod experiments;
 pub mod spans;
 
-/// Re-export of the bounded worker pool, which moved to `sim_core::parallel`
-/// so layers below `bench` (the fleet driver) can share it. The
-/// `bench::parmap*` paths keep working.
-pub use sim_core::parallel;
-
 pub use experiments::*;
-pub use parallel::{default_jobs, parmap, parmap_with};

@@ -9,7 +9,7 @@
 //! 2. **Simulation fan-out** — every instance runs its own session
 //!    (machine + kernel + workload, seeded by [`instance_seed`]) on the
 //!    bounded host pool (`sim_core::parallel::parmap_with`, the same pool
-//!    the experiment driver uses as `bench::parmap_with`). Workers only
+//!    the experiment driver uses). Workers only
 //!    decide *when* an instance runs, never *what it computes*.
 //! 3. **Roll-up post-pass** — per-instance final snapshots merge into
 //!    node aggregates (deterministic instance-index chunks of size

@@ -9,9 +9,10 @@
 //! ```
 //!
 //! Experiments are deterministic and independent, so `run all` can execute
-//! them concurrently on `bench`'s bounded worker pool. Tables are collected
-//! per experiment and printed in experiment order when everything finishes,
-//! so stdout is **byte-identical** for every `--jobs` value. Wall-time
+//! them concurrently on the bounded worker pool in `sim_core::parallel`.
+//! Tables are collected per experiment and printed in experiment order when
+//! everything finishes, so stdout is **byte-identical** for every `--jobs`
+//! value. Wall-time
 //! lines go to stderr (they vary run to run), and each experiment also
 //! writes a machine-readable `results/<name>.json` (plus a
 //! `results/run-summary.json` roll-up) so performance trajectories can be
@@ -287,7 +288,7 @@ struct ExperimentRun {
 /// errored.
 fn run_experiments(names: Vec<&'static str>, jobs: usize, out_dir: &str) -> ExitCode {
     let started = Instant::now();
-    let runs: Vec<ExperimentRun> = bench::parmap_with(jobs, names, |name| {
+    let runs: Vec<ExperimentRun> = sim_core::parallel::parmap_with(jobs, names, |name| {
         let span = bench::spans::start(format!("exp/{name}"));
         let result = run_one(name);
         ExperimentRun {
@@ -687,7 +688,7 @@ fn main() -> ExitCode {
                     for (key, value) in flags {
                         match key {
                             "jobs" => match parse_num::<usize>(key, value) {
-                                Ok(0) => jobs = bench::default_jobs(),
+                                Ok(0) => jobs = sim_core::parallel::default_jobs(),
                                 Ok(n) => jobs = n,
                                 Err(e) => {
                                     eprintln!("error: {e}");
@@ -802,7 +803,7 @@ fn main() -> ExitCode {
                         "slots" => opts.slots = parse_num(key, value)?,
                         "seed" => opts.seed = parse_num(key, value)?,
                         "jobs" => match parse_num::<usize>(key, value)? {
-                            0 => opts.jobs = bench::default_jobs(),
+                            0 => opts.jobs = sim_core::parallel::default_jobs(),
                             n => opts.jobs = n,
                         },
                         "interval" => opts.interval = parse_num(key, value)?,
@@ -863,7 +864,7 @@ fn main() -> ExitCode {
                         "knobs" => opts.knobs = Some(value.to_string()),
                         "scale" => opts.scale = parse_num(key, value)?,
                         "jobs" => match parse_num::<usize>(key, value)? {
-                            0 => opts.jobs = bench::default_jobs(),
+                            0 => opts.jobs = sim_core::parallel::default_jobs(),
                             n => opts.jobs = n,
                         },
                         "interval" => opts.interval = parse_num(key, value)?,
@@ -953,7 +954,7 @@ fn main() -> ExitCode {
                         "schedules" => opts.cfg.schedules = parse_num(key, value)?,
                         "seed" => opts.cfg.seed = parse_num(key, value)?,
                         "jobs" => match parse_num::<usize>(key, value)? {
-                            0 => opts.jobs = bench::default_jobs(),
+                            0 => opts.jobs = sim_core::parallel::default_jobs(),
                             n => opts.jobs = n,
                         },
                         "events" => {
@@ -1079,3 +1080,4 @@ fn main() -> ExitCode {
         }
     }
 }
+

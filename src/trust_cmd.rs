@@ -66,7 +66,7 @@ pub fn run(opts: &TrustOptions) -> Result<bool, String> {
     if cells.is_empty() {
         return Err("empty matrix slice — nothing selected".to_string());
     }
-    let reports = bench::parmap_with(opts.jobs, cells, |cell| {
+    let reports = sim_core::parallel::parmap_with(opts.jobs, cells, |cell| {
         let span = bench::spans::start(format!(
             "trust/{}/{}",
             cell.event.mnemonic(),
