@@ -285,7 +285,7 @@ struct ExperimentRun {
 
 /// Runs `names` on `jobs` worker threads, then prints tables in experiment
 /// order and writes `<out_dir>/*.json`. Returns failure if any experiment
-/// errored.
+/// errored or the result files could not be written.
 fn run_experiments(names: Vec<&'static str>, jobs: usize, out_dir: &str) -> ExitCode {
     let started = Instant::now();
     let runs: Vec<ExperimentRun> = sim_core::parallel::parmap_with(jobs, names, |name| {
@@ -317,9 +317,12 @@ fn run_experiments(names: Vec<&'static str>, jobs: usize, out_dir: &str) -> Exit
         if jobs == 1 { "" } else { "s" }
     );
 
+    // A run whose results cannot be recorded fails: CI diffs the written
+    // files against the committed goldens, and untouched files would pass.
     let timings = bench::spans::drain();
     if let Err(e) = write_result_files(&runs, jobs, total_ms, &timings, out_dir) {
-        eprintln!("warning: could not write {out_dir}/*.json: {e}");
+        failed = true;
+        eprintln!("error: could not write {out_dir}/*.json: {e}");
     }
 
     if failed {
@@ -1081,3 +1084,16 @@ fn main() -> ExitCode {
     }
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_fails_when_the_out_dir_is_a_regular_file() {
+        let path = std::env::temp_dir().join(format!("limit-repro-out-{}", std::process::id()));
+        std::fs::write(&path, "not a directory").unwrap();
+        let code = run_experiments(vec!["e3"], 1, path.to_str().unwrap());
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(code, ExitCode::FAILURE);
+    }
+}
