@@ -11,7 +11,8 @@
 //! Results append to `BENCH_sim.json` (schema documented in
 //! `docs/BENCH.md`). Absolute instr/s numbers are machine-dependent; the
 //! *speedup ratio* is not, which is what `--check` compares against the
-//! committed baseline (the file's first entry) for CI regression gating.
+//! committed baseline (the file's first `exec` entry) for CI regression
+//! gating.
 
 use limit::LimitReader;
 use sim_core::json::Json;
@@ -28,8 +29,8 @@ pub struct BenchOptions {
     pub label: String,
     /// Results file to append to (empty disables writing).
     pub out: String,
-    /// Fail if the measured speedup regresses >20% vs the file's first
-    /// (committed baseline) entry.
+    /// Fail if the measured ratio regresses >20% vs the file's first
+    /// (committed baseline) entry of the same kind.
     pub check: bool,
     /// Which arms to run: `both` (default), `single`/`block` alone
     /// (profiling one interpreter; no file write, no differential gate),
@@ -172,7 +173,7 @@ pub fn run(opts: &BenchOptions) -> Result<(), String> {
         append_entry(opts, &cfg, &single, &block, speedup)?;
     }
     if opts.check {
-        check_regression(&opts.out, speedup)?;
+        check_baseline(&opts.out, "exec", "speedup", speedup)?;
     }
     Ok(())
 }
@@ -243,7 +244,7 @@ fn run_fleet_bench(opts: &BenchOptions) -> Result<(), String> {
         append_fleet_entry(opts, &r1, secs1, secs2, scaling)?;
     }
     if opts.check {
-        check_fleet_regression(&opts.out, scaling)?;
+        check_baseline(&opts.out, "fleet", "scaling", scaling)?;
     }
     Ok(())
 }
@@ -301,7 +302,7 @@ fn run_whatif_bench(opts: &BenchOptions) -> Result<(), String> {
         append_whatif_entry(opts, &r1, secs1, secs4, scaling)?;
     }
     if opts.check {
-        check_whatif_regression(&opts.out, scaling)?;
+        check_baseline(&opts.out, "whatif", "scaling", scaling)?;
     }
     Ok(())
 }
@@ -388,7 +389,7 @@ fn run_io_bench(opts: &BenchOptions) -> Result<(), String> {
         append_io_entry(opts, &cfg, &single, &block, speedup)?;
     }
     if opts.check {
-        check_io_regression(&opts.out, speedup)?;
+        check_baseline(&opts.out, "io", "speedup", speedup)?;
     }
     Ok(())
 }
@@ -422,33 +423,6 @@ fn append_io_entry(
     Ok(())
 }
 
-/// Gates the measured block/single speedup at 80% of the committed
-/// baseline's (the file's first `kind: "io"` entry).
-fn check_io_regression(out: &str, speedup: f64) -> Result<(), String> {
-    let text = std::fs::read_to_string(out).map_err(|e| format!("{out}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-    let baseline = doc
-        .get("entries")
-        .and_then(Json::as_array)
-        .and_then(|entries| {
-            entries
-                .iter()
-                .find(|e| e.get("kind").and_then(Json::as_str) == Some("io"))
-        })
-        .and_then(|e| e.get("speedup"))
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{out}: no baseline io entry with a speedup field"))?;
-    let floor = baseline * 0.8;
-    if speedup < floor {
-        return Err(format!(
-            "io speedup regression: measured {speedup:.2}x < {floor:.2}x \
-             (80% of committed baseline {baseline:.2}x)"
-        ));
-    }
-    eprintln!("[bench] io check ok: {speedup:.2}x >= {floor:.2}x (80% of baseline {baseline:.2}x)");
-    Ok(())
-}
-
 fn append_whatif_entry(
     opts: &BenchOptions,
     r1: &whatif::WhatifReport,
@@ -475,35 +449,6 @@ fn append_whatif_entry(
     eprintln!(
         "[bench] appended whatif entry {:?} to {}",
         opts.label, opts.out
-    );
-    Ok(())
-}
-
-/// Gates the measured jobs-4/jobs-1 scaling at 80% of the committed
-/// baseline's (the file's first `kind: "whatif"` entry).
-fn check_whatif_regression(out: &str, scaling: f64) -> Result<(), String> {
-    let text = std::fs::read_to_string(out).map_err(|e| format!("{out}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-    let baseline = doc
-        .get("entries")
-        .and_then(Json::as_array)
-        .and_then(|entries| {
-            entries
-                .iter()
-                .find(|e| e.get("kind").and_then(Json::as_str) == Some("whatif"))
-        })
-        .and_then(|e| e.get("scaling"))
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{out}: no baseline whatif entry with a scaling field"))?;
-    let floor = baseline * 0.8;
-    if scaling < floor {
-        return Err(format!(
-            "whatif scaling regression: measured {scaling:.2}x < {floor:.2}x \
-             (80% of committed baseline {baseline:.2}x)"
-        ));
-    }
-    eprintln!(
-        "[bench] whatif check ok: {scaling:.2}x >= {floor:.2}x (80% of baseline {baseline:.2}x)"
     );
     Ok(())
 }
@@ -538,35 +483,6 @@ fn append_fleet_entry(
     Ok(())
 }
 
-/// Gates the measured jobs-2/jobs-1 scaling at 80% of the committed
-/// baseline's (the file's first `kind: "fleet"` entry).
-fn check_fleet_regression(out: &str, scaling: f64) -> Result<(), String> {
-    let text = std::fs::read_to_string(out).map_err(|e| format!("{out}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-    let baseline = doc
-        .get("entries")
-        .and_then(Json::as_array)
-        .and_then(|entries| {
-            entries
-                .iter()
-                .find(|e| e.get("kind").and_then(Json::as_str) == Some("fleet"))
-        })
-        .and_then(|e| e.get("scaling"))
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{out}: no baseline fleet entry with a scaling field"))?;
-    let floor = baseline * 0.8;
-    if scaling < floor {
-        return Err(format!(
-            "fleet scaling regression: measured {scaling:.2}x < {floor:.2}x \
-             (80% of committed baseline {baseline:.2}x)"
-        ));
-    }
-    eprintln!(
-        "[bench] fleet check ok: {scaling:.2}x >= {floor:.2}x (80% of baseline {baseline:.2}x)"
-    );
-    Ok(())
-}
-
 fn entry_json(
     opts: &BenchOptions,
     cfg: &MysqlConfig,
@@ -593,8 +509,8 @@ fn entry_json(
 }
 
 /// Appends one entry to the results file, creating it if needed. The file
-/// is `{schema, entries: [...]}`; the first entry is the committed
-/// baseline that `--check` compares against.
+/// is `{schema, entries: [...]}`; the first entry of each kind is the
+/// committed baseline that `--check` compares against.
 fn append_entry(
     opts: &BenchOptions,
     cfg: &MysqlConfig,
@@ -626,27 +542,80 @@ fn append_raw_entry(out: &str, entry: Json) -> Result<(), String> {
     std::fs::write(out, doc.pretty()).map_err(|e| format!("{out}: {e}"))
 }
 
-/// Fails if this run's speedup fell more than 20% below the committed
-/// baseline's (the file's first entry). Ratios, not absolute instr/s:
-/// CI machines vary in clock speed but the block/single ratio is a
-/// property of the interpreter, so it transfers.
-fn check_regression(out: &str, speedup: f64) -> Result<(), String> {
+/// Fails if this run's `field` fell more than 20% below the committed
+/// baseline's: the file's first entry of `kind`, where an entry without a
+/// `kind` counts as `exec` (the original interpreter baseline predates the
+/// field). Ratios, not absolute rates: CI machines vary in clock speed,
+/// but block/single and jobs-scaling ratios transfer.
+fn check_baseline(out: &str, kind: &str, field: &str, measured: f64) -> Result<(), String> {
     let text = std::fs::read_to_string(out).map_err(|e| format!("{out}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
     let baseline = doc
         .get("entries")
         .and_then(Json::as_array)
-        .and_then(<[Json]>::first)
-        .and_then(|e| e.get("speedup"))
+        .and_then(|entries| {
+            entries
+                .iter()
+                .find(|e| e.get("kind").map_or(Some("exec"), Json::as_str) == Some(kind))
+        })
+        .and_then(|e| e.get(field))
         .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{out}: no baseline entry with a speedup field"))?;
+        .ok_or_else(|| format!("{out}: no baseline {kind} entry with a {field} field"))?;
     let floor = baseline * 0.8;
-    if speedup < floor {
+    if measured < floor {
         return Err(format!(
-            "speedup regression: measured {speedup:.2}x < {floor:.2}x \
+            "{kind} {field} regression: measured {measured:.2}x < {floor:.2}x \
              (80% of committed baseline {baseline:.2}x)"
         ));
     }
-    eprintln!("[bench] check ok: {speedup:.2}x >= {floor:.2}x (80% of baseline {baseline:.2}x)");
+    eprintln!(
+        "[bench] {kind} check ok: {measured:.2}x >= {floor:.2}x (80% of baseline {baseline:.2}x)"
+    );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn doc_file(name: &str, body: &str) -> String {
+        let path = std::env::temp_dir().join(format!("limit-repro-{name}-{}", std::process::id()));
+        std::fs::write(&path, body).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    #[test]
+    fn baseline_is_the_first_entry_of_its_kind() {
+        let out = doc_file(
+            "baselines",
+            r#"{"schema": 1, "entries": [
+                {"label": "seed", "speedup": 2.0},
+                {"kind": "io", "label": "io", "speedup": 5.0},
+                {"kind": "exec", "label": "later", "speedup": 3.0}
+            ]}"#,
+        );
+        // The kind-less first entry is the exec baseline: floor 1.6, not 2.4.
+        let exec_ok = check_baseline(&out, "exec", "speedup", 1.7);
+        let exec_low = check_baseline(&out, "exec", "speedup", 1.5);
+        let io_low = check_baseline(&out, "io", "speedup", 3.9);
+        let io_ok = check_baseline(&out, "io", "speedup", 4.1);
+        std::fs::remove_file(&out).unwrap();
+        assert!(exec_ok.is_ok());
+        assert!(exec_low.is_err());
+        assert!(io_low.is_err());
+        assert!(io_ok.is_ok());
+    }
+
+    #[test]
+    fn missing_baseline_is_an_error() {
+        let out = doc_file(
+            "no-fleet-baseline",
+            r#"{"schema": 1, "entries": [{"kind": "io", "speedup": 5.0}]}"#,
+        );
+        let fleet = check_baseline(&out, "fleet", "scaling", 1.0);
+        let io_scaling = check_baseline(&out, "io", "scaling", 1.0);
+        std::fs::remove_file(&out).unwrap();
+        assert!(fleet.is_err());
+        assert!(io_scaling.is_err());
+    }
 }
