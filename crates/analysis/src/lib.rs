@@ -17,8 +17,8 @@
 //!   bottleneck roll-ups, session-latency percentiles, and overload
 //!   detection for the fleet driver,
 //! * [`overhead`] — instrumentation-overhead accounting (E2),
-//! * [`table`] — plain-text table rendering shared by every `exp_*`
-//!   binary.
+//! * [`table`] — plain-text table rendering shared by every experiment
+//!   and CLI report.
 
 pub mod accuracy;
 pub mod attribution;

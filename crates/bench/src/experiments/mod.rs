@@ -1,9 +1,9 @@
 //! One module per reproduced experiment (DESIGN.md §4).
 //!
 //! Every module exposes a `run(...)` returning a structured result plus a
-//! `table(...)`/`render(...)` producing the paper-style output the `exp_*`
-//! binary prints. Integration tests assert the *shapes* (who wins, by
-//! roughly what factor) on the structured results.
+//! `table(...)`/`render(...)` producing the paper-style output that
+//! `limit-repro run` prints. Integration tests assert the *shapes* (who
+//! wins, by roughly what factor) on the structured results.
 
 pub mod e1;
 pub mod e10;
