@@ -95,11 +95,12 @@ impl Json {
 
     /// Parses a JSON document (the validation side of the NDJSON stream:
     /// `check-telemetry` re-reads what `monitor` wrote). Rejects trailing
-    /// garbage.
+    /// garbage, and arrays or objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -215,9 +216,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so hostile input could otherwise overflow the
+/// stack; everything the repo writes nests fewer than 10 levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -250,11 +258,25 @@ impl Parser<'_> {
             Some(b't') => self.eat("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -535,6 +557,18 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} extra").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // Far past the bound, and deep enough to overflow the stack of an
+        // unbounded recursive parser.
+        assert!(Json::parse(&"[".repeat(400_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

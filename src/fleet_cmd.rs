@@ -7,88 +7,14 @@
 //! population findings) and the NDJSON file are byte-identical across
 //! `--jobs` values; progress ticks go to stderr.
 //!
-//! NDJSON output (`<out-dir>/fleet-<workload>.json`, schema 2): one line
+//! NDJSON output (`<out-dir>/fleet-<workload>.json`, schema 5): one line
 //! per instance — its final snapshot, `instance` set to the numeric id —
 //! followed by one roll-up line with `"instance": "fleet"` whose counts
 //! equal the per-instance sums (`check-telemetry` verifies this).
 
 use crate::monitor::{findings_json, snapshot_json_with};
-use fleet::{run_fleet, ArrivalConfig, ArrivalProcess, FleetConfig, FleetReport, EVENT_NAMES};
+use fleet::{run_fleet, ArrivalProcess, FleetConfig, FleetReport, EVENT_NAMES};
 use sim_core::json::Json;
-use workloads::Spec;
-
-/// Knobs of a fleet run (all have CLI flags).
-#[derive(Debug, Clone)]
-pub struct FleetOptions {
-    /// Number of instances.
-    pub instances: usize,
-    /// Guest worker threads per instance.
-    pub threads: usize,
-    /// Queries / operations per guest worker.
-    pub queries: u64,
-    /// Target arrival rate in sessions per Mcycle.
-    pub arrival_rate: f64,
-    /// Burst factor (1.0 = plain Poisson; > 1.0 selects the MMPP arm).
-    pub burst: f64,
-    /// Concurrent service slots on the node.
-    pub slots: usize,
-    /// Fleet seed.
-    pub seed: u64,
-    /// Host worker threads.
-    pub jobs: usize,
-    /// Telemetry drain cadence in guest cycles.
-    pub interval: u64,
-    /// Per-thread ring capacity (power of two).
-    pub capacity: u64,
-    /// Directory receiving `fleet-<workload>.json`.
-    pub out_dir: String,
-}
-
-impl Default for FleetOptions {
-    fn default() -> Self {
-        let base = FleetConfig::default();
-        FleetOptions {
-            instances: base.instances,
-            threads: base.threads,
-            queries: base.queries,
-            arrival_rate: base.arrival.rate_per_mcycle,
-            burst: 1.0,
-            slots: base.slots,
-            seed: base.seed,
-            jobs: base.jobs,
-            interval: base.interval,
-            capacity: base.capacity,
-            out_dir: "results".to_string(),
-        }
-    }
-}
-
-fn to_config(workload: Spec, opts: &FleetOptions) -> FleetConfig {
-    let process = if opts.burst > 1.0 {
-        ArrivalProcess::Bursty {
-            factor: opts.burst,
-            switch_p: 0.05,
-        }
-    } else {
-        ArrivalProcess::Poisson
-    };
-    FleetConfig {
-        workload,
-        instances: opts.instances,
-        threads: opts.threads,
-        queries: opts.queries,
-        arrival: ArrivalConfig {
-            process,
-            rate_per_mcycle: opts.arrival_rate,
-        },
-        slots: opts.slots,
-        seed: opts.seed,
-        jobs: opts.jobs,
-        interval: opts.interval,
-        capacity: opts.capacity,
-        ..FleetConfig::default()
-    }
-}
 
 /// Fleet-wide findings rendered for the roll-up line's `findings` array.
 fn fleet_findings_json(report: &FleetReport) -> Json {
@@ -138,10 +64,9 @@ fn render_ndjson(workload: &str, report: &FleetReport) -> String {
     out
 }
 
-/// Runs the fleet and writes `<out-dir>/fleet-<workload>.json`.
-pub fn run(workload: &str, opts: &FleetOptions) -> Result<(), String> {
-    let spec = Spec::parse(workload).map_err(|e| e.to_string())?;
-    let cfg = to_config(spec.compact(), opts);
+/// Runs the fleet and writes `<out_dir>/fleet-<workload>.json`.
+pub fn run(cfg: &FleetConfig, out_dir: &str) -> Result<(), String> {
+    let workload = cfg.workload.name();
     eprintln!(
         "fleet: {} x {workload} ({} threads x {} queries each), arrival {:.2}/Mcycle ({}), \
          {} slots, {} host jobs",
@@ -159,7 +84,7 @@ pub fn run(workload: &str, opts: &FleetOptions) -> Result<(), String> {
 
     // Progress ticks on stderr, at most ~20 lines however large the fleet.
     let step = (cfg.instances / 20).max(1);
-    let report = run_fleet(&cfg, |done, total| {
+    let report = run_fleet(cfg, |done, total| {
         if done % step == 0 || done == total {
             eprintln!("fleet: {done}/{total} instances complete");
         }
@@ -189,9 +114,8 @@ pub fn run(workload: &str, opts: &FleetOptions) -> Result<(), String> {
         None => println!("teardown warnings: none — every instance tore down clean"),
     }
 
-    std::fs::create_dir_all(&opts.out_dir)
-        .map_err(|e| format!("cannot create {}: {e}", opts.out_dir))?;
-    let path = format!("{}/fleet-{workload}.json", opts.out_dir);
+    std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
+    let path = format!("{out_dir}/fleet-{workload}.json");
     std::fs::write(&path, render_ndjson(workload, &report))
         .map_err(|e| format!("cannot write {path}: {e}"))?;
 

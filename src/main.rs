@@ -18,11 +18,15 @@
 //! `results/run-summary.json` roll-up) so performance trajectories can be
 //! tracked across PRs.
 
+use fleet::{ArrivalProcess, FleetConfig};
 use sim_core::json::Json;
 use std::env;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
+use torture::matrix::{enumerate_cells, AccessMethod, Cell, Disturb, MatrixConfig};
+use whatif::{Knob, WhatifConfig};
+use workloads::Spec;
 
 mod bench_cmd;
 mod fleet_cmd;
@@ -457,49 +461,25 @@ per-thread accounting:
 
 /// `limit-repro torture`: run the counter-virtualization torture harness
 /// directly (the CI smoke entry point; E14 is the table-producing wrapper).
+/// `fixup` selects one arm; `None` runs both.
 ///
 /// Exit status encodes the harness contract: the fixup-on arm must be
 /// divergence-free, and the fixup-off arm must rediscover the read race
 /// (zero findings there means the harness itself lost its teeth).
-fn torture_cmd(args: &[String]) -> Result<ExitCode, String> {
-    use torture::{render_repro, run_arm, shrink, TortureConfig};
-
-    let mut cfg = TortureConfig::default();
-    let mut fixup = "both".to_string();
-    let mut replay: Option<(u64, u64)> = None;
-    let mut out_dir = "results".to_string();
-    for (key, value) in parse_flags(
-        args,
-        &["schedules", "seed", "fixup", "spill", "replay", "out-dir"],
-    )? {
-        match key {
-            "schedules" => cfg.schedules = parse_num(key, value)?,
-            "seed" => cfg.seed = parse_num(key, value)?,
-            "fixup" => match value {
-                "on" | "off" | "both" => fixup = value.to_string(),
-                other => return Err(format!("invalid --fixup value {other:?} (on|off|both)")),
-            },
-            "spill" => cfg.spill = parse_num(key, value)?,
-            "replay" => replay = Some(trace::parse_replay_spec(value)?),
-            "out-dir" => out_dir = value.to_string(),
-            _ => unreachable!(),
-        }
-    }
+fn torture_cmd(cfg: &torture::TortureConfig, fixup: Option<bool>) -> Result<ExitCode, String> {
+    use torture::{render_repro, run_arm, shrink};
 
     let fail = |e: sim_core::SimError| e.to_string();
-    if let Some((seed, index)) = replay {
-        return torture_replay(cfg, &fixup, seed, index, &out_dir);
-    }
-    let arms: &[bool] = match fixup.as_str() {
-        "on" => &[true],
-        "off" => &[false],
-        _ => &[true, false],
+    let arms: &[bool] = match fixup {
+        Some(true) => &[true],
+        Some(false) => &[false],
+        None => &[true, false],
     };
     let mut ok = true;
     for &arm_fixup in arms {
         let label = if arm_fixup { "fixup-on" } else { "fixup-off" };
         let span = bench::spans::start(format!("torture/{label}"));
-        let report = run_arm(&cfg, arm_fixup).map_err(fail)?;
+        let report = run_arm(cfg, arm_fixup).map_err(fail)?;
         let secs = (span.elapsed_ms() / 1e3).max(1e-9);
         let rate = report.schedules as f64 / secs;
         span.meta("schedules_per_sec", rate).finish();
@@ -518,10 +498,10 @@ fn torture_cmd(args: &[String]) -> Result<ExitCode, String> {
                 ok = false;
                 eprintln!("error: fixup-on arm diverged — virtualization bug");
                 if let Some(failing) = &report.first_failure {
-                    let minimal = shrink(&cfg, arm_fixup, failing).map_err(fail)?;
+                    let minimal = shrink(cfg, arm_fixup, failing).map_err(fail)?;
                     println!(
                         "{}",
-                        render_repro(&cfg, arm_fixup, failing, &minimal).map_err(fail)?
+                        render_repro(cfg, arm_fixup, failing, &minimal).map_err(fail)?
                     );
                 }
             }
@@ -529,10 +509,10 @@ fn torture_cmd(args: &[String]) -> Result<ExitCode, String> {
             ok = false;
             eprintln!("error: fixup-off arm found no divergence — harness has lost its teeth");
         } else if let Some(failing) = &report.first_failure {
-            let minimal = shrink(&cfg, arm_fixup, failing).map_err(fail)?;
+            let minimal = shrink(cfg, arm_fixup, failing).map_err(fail)?;
             println!(
                 "shrunk repro of the first fixup-off failure:\n{}",
-                render_repro(&cfg, arm_fixup, failing, &minimal).map_err(fail)?
+                render_repro(cfg, arm_fixup, failing, &minimal).map_err(fail)?
             );
         }
     }
@@ -547,19 +527,16 @@ fn torture_cmd(args: &[String]) -> Result<ExitCode, String> {
 /// the torture harness, shrink it to a locally-minimal failing injection
 /// set if it diverges, re-run that set under the flight recorder, and
 /// export the trace — the injections and any divergence render as instants
-/// on the failing thread's timeline.
+/// on the failing thread's timeline. Replays chase failures, which live in
+/// the fixup-off arm unless the caller explicitly pins `--fixup on`.
 fn torture_replay(
     mut cfg: torture::TortureConfig,
-    fixup: &str,
-    seed: u64,
-    index: u64,
+    arm_fixup: bool,
+    (seed, index): (u64, u64),
     out_dir: &str,
 ) -> Result<ExitCode, String> {
     let fail = |e: sim_core::SimError| e.to_string();
     cfg.seed = seed;
-    // Replays chase failures, which live in the fixup-off arm unless the
-    // caller explicitly pins --fixup on.
-    let arm_fixup = fixup == "on";
     let span = bench::spans::start(format!("torture/replay-{seed},{index}"));
     let r =
         torture::replay(&cfg, arm_fixup, index, flight::FlightConfig::default()).map_err(fail)?;
@@ -592,6 +569,7 @@ fn usage() {
   run <experiment|all> [--jobs N] [--out-dir DIR]       run experiments
   stat <workload>                                       perf-stat summary
   bench [--queries N] [--label S] [--out FILE] [--check true|false]
+        [--mode both|single|block|fleet|whatif|io]
                                                         guest instr/s microbenchmark
                                                         (single-step vs block-stepped)
   monitor <mysqld|memcached|logstore|proxy> [--threads N] [--queries N]
@@ -605,6 +583,7 @@ fn usage() {
                                                         with hierarchical roll-up
   whatif <mysqld|memcached|logstore|proxy> [--knobs K1,K2,...] [--scale F] [--jobs N]
          [--threads N] [--queries N] [--interval CYCLES] [--capacity N]
+         [--stripes N] [--buckets N] [--hold-rmws N] [--bufpool BYTES]
          [--out-dir DIR]                                causal what-if engine:
                                                         per-region knob sensitivity
   check-telemetry <file>                                validate NDJSON output
@@ -621,12 +600,43 @@ fn usage() {
     );
 }
 
-/// Parses `--key value` / `--key=value` pairs from an argument tail,
-/// rejecting keys outside `allowed`.
-fn parse_flags<'a>(
-    args: &'a [String],
-    allowed: &[&str],
-) -> Result<Vec<(&'a str, &'a str)>, String> {
+/// One invocation, parsed: the subcommand plus the configuration it runs
+/// with. Library configs are filled in directly from the flags; output
+/// directories sit beside them.
+enum Command {
+    List,
+    Run {
+        names: Vec<&'static str>,
+        jobs: usize,
+        out_dir: String,
+    },
+    Stat(String),
+    Bench(bench_cmd::BenchOptions),
+    Monitor(String, monitor::MonitorOptions),
+    Fleet(Box<FleetConfig>, String),
+    Whatif(Box<WhatifConfig>, String),
+    CheckTelemetry(String),
+    Torture {
+        cfg: torture::TortureConfig,
+        /// One arm (`--fixup on|off`), or `None` for both.
+        fixup: Option<bool>,
+        replay: Option<(u64, u64)>,
+        out_dir: String,
+    },
+    Trust {
+        cfg: MatrixConfig,
+        cells: Vec<Cell>,
+        jobs: usize,
+        out_dir: String,
+    },
+    Trace(String, flight::FlightConfig, String),
+    CheckTrace(String),
+}
+
+/// Splits `--key value` / `--key=value` pairs off an argument tail. Keys
+/// are checked by the caller's match, whose fallback arm is
+/// [`unknown_flag`].
+fn parse_flags(args: &[String]) -> Result<Vec<(&str, &str)>, String> {
     let mut out = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -634,7 +644,7 @@ fn parse_flags<'a>(
             return Err(format!("unknown argument {arg:?}"));
         };
         let (key, value) = match rest.split_once('=') {
-            Some((k, v)) => (k, v),
+            Some(kv) => kv,
             None => (
                 rest,
                 it.next()
@@ -642,12 +652,13 @@ fn parse_flags<'a>(
                     .as_str(),
             ),
         };
-        if !allowed.contains(&key) {
-            return Err(format!("unknown flag --{key}"));
-        }
         out.push((key, value));
     }
     Ok(out)
+}
+
+fn unknown_flag(key: &str) -> String {
+    format!("unknown flag --{key}")
 }
 
 fn parse_num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
@@ -656,432 +667,341 @@ fn parse_num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> 
         .map_err(|_| format!("invalid --{key} value {value:?}"))
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => {
+/// `--jobs N`, where 0 means one host worker per core.
+fn parse_jobs(value: &str) -> Result<usize, String> {
+    match parse_num("jobs", value)? {
+        0 => Ok(sim_core::parallel::default_jobs()),
+        n => Ok(n),
+    }
+}
+
+/// A comma list of names, each resolved by `lookup`.
+fn parse_list<T>(value: &str, what: &str, lookup: fn(&str) -> Option<T>) -> Result<Vec<T>, String> {
+    value
+        .split(',')
+        .map(|s| lookup(s.trim()).ok_or_else(|| format!("unknown {what} {s:?}")))
+        .collect()
+}
+
+/// The compact shape of a workload that runs as many short sessions.
+fn compact_spec(name: &str) -> Result<Spec, String> {
+    Spec::parse(name)
+        .map(Spec::compact)
+        .map_err(|e| e.to_string())
+}
+
+/// Turns argv (without the program name) into a [`Command`].
+fn parse(args: &[String]) -> Result<Command, String> {
+    let Some((command, rest)) = args.split_first() else {
+        return Err("no command given".to_string());
+    };
+    // Subcommands that name a workload, an experiment or a file take it
+    // as their first argument; the flags follow.
+    let positional = |what: &str| match rest.split_first() {
+        Some((arg, flags)) if !arg.starts_with("--") => Ok((arg.clone(), parse_flags(flags)?)),
+        _ => Err(format!("{command} needs {what}")),
+    };
+    // A subcommand without flags rejects any it is given.
+    let no_flags = |flags: &[(&str, &str)]| match flags.first() {
+        Some((key, _)) => Err(unknown_flag(key)),
+        None => Ok(()),
+    };
+    let only_positional = |what: &str| {
+        let (arg, flags) = positional(what)?;
+        no_flags(&flags).map(|()| arg)
+    };
+    let mut out_dir = "results".to_string();
+    let cmd = match command.as_str() {
+        "list" => {
+            no_flags(&parse_flags(rest)?)?;
+            Command::List
+        }
+        "stat" => Command::Stat(only_positional("a workload")?),
+        "check-telemetry" => Command::CheckTelemetry(only_positional("a file")?),
+        "check-trace" => Command::CheckTrace(only_positional("a file")?),
+        "run" => {
+            let (which, flags) = positional("an experiment or `all`")?;
+            let mut jobs = 1;
+            for (key, value) in flags {
+                match key {
+                    "jobs" => jobs = parse_jobs(value)?,
+                    "out-dir" => out_dir = value.to_string(),
+                    _ => return Err(unknown_flag(key)),
+                }
+            }
+            // Resolve through the table so the names have 'static life and
+            // unknown names fail up front.
+            let names = EXPERIMENTS
+                .iter()
+                .map(|&(name, _)| name)
+                .filter(|&name| which == "all" || name == which)
+                .collect::<Vec<_>>();
+            if names.is_empty() {
+                return Err(format!("unknown experiment {which:?}; try `list`"));
+            }
+            Command::Run {
+                names,
+                jobs,
+                out_dir,
+            }
+        }
+        "bench" => {
+            let mut opts = bench_cmd::BenchOptions::default();
+            for (key, value) in parse_flags(rest)? {
+                match key {
+                    "queries" => opts.queries = parse_num(key, value)?,
+                    "label" => opts.label = value.to_string(),
+                    "out" => opts.out = value.to_string(),
+                    "check" => opts.check = parse_num(key, value)?,
+                    "mode" => opts.mode = value.to_string(),
+                    _ => return Err(unknown_flag(key)),
+                }
+            }
+            Command::Bench(opts)
+        }
+        "monitor" => {
+            let (workload, flags) = positional("a workload")?;
+            let mut opts = monitor::MonitorOptions::default();
+            for (key, value) in flags {
+                match key {
+                    "threads" => opts.threads = parse_num(key, value)?,
+                    "queries" => opts.queries = parse_num(key, value)?,
+                    "interval" => opts.interval = parse_num(key, value)?,
+                    "capacity" => opts.capacity = parse_num(key, value)?,
+                    "out-dir" => opts.out_dir = value.to_string(),
+                    _ => return Err(unknown_flag(key)),
+                }
+            }
+            Command::Monitor(workload, opts)
+        }
+        "fleet" => {
+            let (workload, flags) = positional("a workload")?;
+            let mut cfg = FleetConfig {
+                workload: compact_spec(&workload)?,
+                ..FleetConfig::default()
+            };
+            for (key, value) in flags {
+                match key {
+                    "instances" => cfg.instances = parse_num(key, value)?,
+                    "threads" => cfg.threads = parse_num(key, value)?,
+                    "queries" => cfg.queries = parse_num(key, value)?,
+                    "arrival-rate" => cfg.arrival.rate_per_mcycle = parse_num(key, value)?,
+                    // A burst factor above 1 selects the MMPP arm.
+                    "burst" => {
+                        let factor: f64 = parse_num(key, value)?;
+                        cfg.arrival.process = if factor > 1.0 {
+                            ArrivalProcess::Bursty {
+                                factor,
+                                switch_p: 0.05,
+                            }
+                        } else {
+                            ArrivalProcess::Poisson
+                        };
+                    }
+                    "slots" => cfg.slots = parse_num(key, value)?,
+                    "seed" => cfg.seed = parse_num(key, value)?,
+                    "jobs" => cfg.jobs = parse_jobs(value)?,
+                    "interval" => cfg.interval = parse_num(key, value)?,
+                    "capacity" => cfg.capacity = parse_num(key, value)?,
+                    "out-dir" => out_dir = value.to_string(),
+                    _ => return Err(unknown_flag(key)),
+                }
+            }
+            Command::Fleet(Box::new(cfg), out_dir)
+        }
+        "whatif" => {
+            let (workload, flags) = positional("a workload")?;
+            let mut cfg = WhatifConfig::new(compact_spec(&workload)?);
+            for (key, value) in flags {
+                match key {
+                    "threads" => cfg.threads = parse_num(key, value)?,
+                    "queries" => cfg.queries = parse_num(key, value)?,
+                    "knobs" => {
+                        cfg.knobs = value
+                            .split(',')
+                            .filter(|s| !s.is_empty())
+                            .map(|name| {
+                                Knob::parse(name).ok_or_else(|| {
+                                    let known: Vec<&str> =
+                                        Knob::ALL.iter().map(|k| k.name()).collect();
+                                    format!("unknown knob {name:?} (known: {})", known.join(", "))
+                                })
+                            })
+                            .collect::<Result<_, _>>()?
+                    }
+                    "scale" => cfg.scale = parse_num(key, value)?,
+                    "jobs" => cfg.jobs = parse_jobs(value)?,
+                    "interval" => cfg.interval = parse_num(key, value)?,
+                    "capacity" => cfg.capacity = parse_num(key, value)?,
+                    // Shape flags edit the workload's own config. A flag the
+                    // workload has no field for is an error naming the
+                    // workload it applies to, never a silent no-op.
+                    "stripes" | "buckets" | "hold-rmws" | "bufpool" => {
+                        let n = parse_num(key, value)?;
+                        match (&mut cfg.workload, key) {
+                            (Spec::Memcached(c), "stripes") => c.stripes = n,
+                            (Spec::Memcached(c), "buckets") => c.buckets = n,
+                            (Spec::Memcached(c), "hold-rmws") => c.hold_rmws = n,
+                            (Spec::Mysqld(c), "bufpool") => c.bufpool_bytes = n,
+                            (spec, _) => {
+                                let applies_to = if key == "bufpool" {
+                                    "mysqld"
+                                } else {
+                                    "memcached"
+                                };
+                                return Err(format!(
+                                    "--{key} applies to {applies_to}, not {}",
+                                    spec.name()
+                                ));
+                            }
+                        }
+                    }
+                    "out-dir" => out_dir = value.to_string(),
+                    _ => return Err(unknown_flag(key)),
+                }
+            }
+            cfg.params = limit::MachineParams::new(cfg.threads.clamp(1, limit::params::MAX_CORES));
+            Command::Whatif(Box::new(cfg), out_dir)
+        }
+        "torture" => {
+            let mut cfg = torture::TortureConfig::default();
+            let (mut fixup, mut replay) = (None, None);
+            for (key, value) in parse_flags(rest)? {
+                match key {
+                    "schedules" => cfg.schedules = parse_num(key, value)?,
+                    "seed" => cfg.seed = parse_num(key, value)?,
+                    "fixup" => {
+                        fixup = match value {
+                            "on" => Some(true),
+                            "off" => Some(false),
+                            "both" => None,
+                            other => {
+                                return Err(format!(
+                                    "invalid --fixup value {other:?} (on|off|both)"
+                                ))
+                            }
+                        }
+                    }
+                    "spill" => cfg.spill = parse_num(key, value)?,
+                    "replay" => replay = Some(trace::parse_replay_spec(value)?),
+                    "out-dir" => out_dir = value.to_string(),
+                    _ => return Err(unknown_flag(key)),
+                }
+            }
+            Command::Torture {
+                cfg,
+                fixup,
+                replay,
+                out_dir,
+            }
+        }
+        "trust" => {
+            let mut cfg = MatrixConfig::default();
+            let mut jobs = 1;
+            let mut events = sim_cpu::EventKind::ALL.to_vec();
+            let mut methods = AccessMethod::ALL.to_vec();
+            let mut disturbs = Disturb::ALL.to_vec();
+            for (key, value) in parse_flags(rest)? {
+                match key {
+                    "schedules" => cfg.schedules = parse_num(key, value)?,
+                    "seed" => cfg.seed = parse_num(key, value)?,
+                    "jobs" => jobs = parse_jobs(value)?,
+                    "events" => {
+                        events = parse_list(value, "event", torture::matrix::event_by_mnemonic)?
+                    }
+                    "methods" => methods = parse_list(value, "method", AccessMethod::parse)?,
+                    "disturbs" => disturbs = parse_list(value, "disturbance", Disturb::parse)?,
+                    "out-dir" => out_dir = value.to_string(),
+                    _ => return Err(unknown_flag(key)),
+                }
+            }
+            Command::Trust {
+                cfg,
+                cells: enumerate_cells(&events, &methods, &disturbs),
+                jobs,
+                out_dir,
+            }
+        }
+        "trace" => {
+            let (workload, flags) = positional("a workload")?;
+            let mut cfg = flight::FlightConfig {
+                buf_slots: trace::DEFAULT_BUF_SLOTS,
+                ..Default::default()
+            };
+            for (key, value) in flags {
+                match key {
+                    "out-dir" => out_dir = value.to_string(),
+                    "buf-slots" => cfg.buf_slots = parse_num(key, value)?,
+                    "categories" => cfg.categories = flight::Categories::parse(value)?,
+                    _ => return Err(unknown_flag(key)),
+                }
+            }
+            Command::Trace(workload, cfg, out_dir)
+        }
+        other => return Err(format!("unknown command {other:?}")),
+    };
+    Ok(cmd)
+}
+
+/// Runs a parsed command. Errors are reported by `main`; commands whose
+/// contract can fail without an error (a run experiment, the torture and
+/// trust verdicts) report that through the exit code.
+fn run(cmd: Command) -> Result<ExitCode, String> {
+    match cmd {
+        Command::List => {
             println!("available experiments:");
             for (name, what) in EXPERIMENTS {
                 println!("  {name:<8} {what}");
             }
-            ExitCode::SUCCESS
         }
-        Some("stat") => {
-            let Some(which) = args.get(1) else {
-                usage();
-                return ExitCode::FAILURE;
-            };
-            match stat_workload(which) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("run") => {
-            let Some(which) = args.get(1) else {
-                usage();
-                return ExitCode::FAILURE;
-            };
-            let mut jobs = 1usize;
-            let mut out_dir = "results".to_string();
-            match parse_flags(&args[2..], &["jobs", "out-dir"]) {
-                Ok(flags) => {
-                    for (key, value) in flags {
-                        match key {
-                            "jobs" => match parse_num::<usize>(key, value) {
-                                Ok(0) => jobs = sim_core::parallel::default_jobs(),
-                                Ok(n) => jobs = n,
-                                Err(e) => {
-                                    eprintln!("error: {e}");
-                                    return ExitCode::FAILURE;
-                                }
-                            },
-                            "out-dir" => out_dir = value.to_string(),
-                            _ => unreachable!(),
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            }
-            let names: Vec<&'static str> = if which == "all" {
-                EXPERIMENTS.iter().map(|&(n, _)| n).collect()
-            } else {
-                // Resolve through the table so the name has 'static life and
-                // unknown names fail up front.
-                match EXPERIMENTS.iter().find(|&&(n, _)| n == which) {
-                    Some(&(n, _)) => vec![n],
-                    None => {
-                        eprintln!("error: unknown experiment {which:?}; try `list`");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            };
-            run_experiments(names, jobs, &out_dir)
-        }
-        Some("monitor") => {
-            let Some(which) = args.get(1) else {
-                usage();
-                return ExitCode::FAILURE;
-            };
-            let mut opts = monitor::MonitorOptions::default();
-            let flags = match parse_flags(
-                &args[2..],
-                &["threads", "queries", "interval", "capacity", "out-dir"],
-            ) {
-                Ok(flags) => flags,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            };
-            for (key, value) in flags {
-                let parsed: Result<(), String> = (|| {
-                    match key {
-                        "threads" => opts.threads = parse_num(key, value)?,
-                        "queries" => opts.queries = parse_num(key, value)?,
-                        "interval" => opts.interval = parse_num(key, value)?,
-                        "capacity" => opts.capacity = parse_num(key, value)?,
-                        "out-dir" => opts.out_dir = value.to_string(),
-                        _ => unreachable!(),
-                    }
-                    Ok(())
-                })();
-                if let Err(e) = parsed {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            match monitor::run(which, &opts) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
+        Command::Run {
+            names,
+            jobs,
+            out_dir,
+        } => return Ok(run_experiments(names, jobs, &out_dir)),
+        Command::Stat(workload) => stat_workload(&workload)?,
+        Command::Bench(opts) => bench_cmd::run(&opts)?,
+        Command::Monitor(workload, opts) => monitor::run(&workload, &opts)?,
+        Command::Fleet(cfg, out_dir) => fleet_cmd::run(&cfg, &out_dir)?,
+        Command::Whatif(cfg, out_dir) => whatif_cmd::run(&cfg, &out_dir)?,
+        Command::CheckTelemetry(path) => monitor::check(&path)?,
+        Command::Torture {
+            cfg,
+            fixup,
+            replay: Some(replay),
+            out_dir,
+        } => return torture_replay(cfg, fixup == Some(true), replay, &out_dir),
+        Command::Torture { cfg, fixup, .. } => return torture_cmd(&cfg, fixup),
+        Command::Trust {
+            cfg,
+            cells,
+            jobs,
+            out_dir,
+        } => {
+            if !trust_cmd::run(&cfg, cells, jobs, &out_dir)? {
+                return Ok(ExitCode::FAILURE);
             }
         }
-        Some("fleet") => {
-            let Some(which) = args.get(1) else {
-                usage();
-                return ExitCode::FAILURE;
-            };
-            let mut opts = fleet_cmd::FleetOptions::default();
-            let flags = match parse_flags(
-                &args[2..],
-                &[
-                    "instances",
-                    "threads",
-                    "queries",
-                    "arrival-rate",
-                    "burst",
-                    "slots",
-                    "seed",
-                    "jobs",
-                    "interval",
-                    "capacity",
-                    "out-dir",
-                ],
-            ) {
-                Ok(flags) => flags,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            };
-            for (key, value) in flags {
-                let parsed: Result<(), String> = (|| {
-                    match key {
-                        "instances" => opts.instances = parse_num(key, value)?,
-                        "threads" => opts.threads = parse_num(key, value)?,
-                        "queries" => opts.queries = parse_num(key, value)?,
-                        "arrival-rate" => opts.arrival_rate = parse_num(key, value)?,
-                        "burst" => opts.burst = parse_num(key, value)?,
-                        "slots" => opts.slots = parse_num(key, value)?,
-                        "seed" => opts.seed = parse_num(key, value)?,
-                        "jobs" => match parse_num::<usize>(key, value)? {
-                            0 => opts.jobs = sim_core::parallel::default_jobs(),
-                            n => opts.jobs = n,
-                        },
-                        "interval" => opts.interval = parse_num(key, value)?,
-                        "capacity" => opts.capacity = parse_num(key, value)?,
-                        "out-dir" => opts.out_dir = value.to_string(),
-                        _ => unreachable!(),
-                    }
-                    Ok(())
-                })();
-                if let Err(e) = parsed {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            match fleet_cmd::run(which, &opts) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("whatif") => {
-            let Some(which) = args.get(1) else {
-                usage();
-                return ExitCode::FAILURE;
-            };
-            let mut opts = whatif_cmd::WhatifOptions::default();
-            let flags = match parse_flags(
-                &args[2..],
-                &[
-                    "threads",
-                    "queries",
-                    "knobs",
-                    "scale",
-                    "jobs",
-                    "interval",
-                    "capacity",
-                    "stripes",
-                    "buckets",
-                    "hold-rmws",
-                    "bufpool",
-                    "out-dir",
-                ],
-            ) {
-                Ok(flags) => flags,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            };
-            for (key, value) in flags {
-                let parsed: Result<(), String> = (|| {
-                    match key {
-                        "threads" => opts.threads = parse_num(key, value)?,
-                        "queries" => opts.queries = parse_num(key, value)?,
-                        "knobs" => opts.knobs = Some(value.to_string()),
-                        "scale" => opts.scale = parse_num(key, value)?,
-                        "jobs" => match parse_num::<usize>(key, value)? {
-                            0 => opts.jobs = sim_core::parallel::default_jobs(),
-                            n => opts.jobs = n,
-                        },
-                        "interval" => opts.interval = parse_num(key, value)?,
-                        "capacity" => opts.capacity = parse_num(key, value)?,
-                        "stripes" => opts.stripes = Some(parse_num(key, value)?),
-                        "buckets" => opts.buckets = Some(parse_num(key, value)?),
-                        "hold-rmws" => opts.hold_rmws = Some(parse_num(key, value)?),
-                        "bufpool" => opts.bufpool = Some(parse_num(key, value)?),
-                        "out-dir" => opts.out_dir = value.to_string(),
-                        _ => unreachable!(),
-                    }
-                    Ok(())
-                })();
-                if let Err(e) = parsed {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            match whatif_cmd::run(which, &opts) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("bench") => {
-            let mut opts = bench_cmd::BenchOptions::default();
-            let flags = match parse_flags(&args[1..], &["queries", "label", "out", "check", "mode"])
-            {
-                Ok(flags) => flags,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            };
-            for (key, value) in flags {
-                let parsed: Result<(), String> = (|| {
-                    match key {
-                        "queries" => opts.queries = parse_num(key, value)?,
-                        "label" => opts.label = value.to_string(),
-                        "out" => opts.out = value.to_string(),
-                        "check" => opts.check = parse_num(key, value)?,
-                        "mode" => opts.mode = value.to_string(),
-                        _ => unreachable!(),
-                    }
-                    Ok(())
-                })();
-                if let Err(e) = parsed {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            match bench_cmd::run(&opts) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("trust") => {
-            let mut opts = trust_cmd::TrustOptions::default();
-            let flags = match parse_flags(
-                &args[1..],
-                &[
-                    "schedules",
-                    "seed",
-                    "jobs",
-                    "events",
-                    "methods",
-                    "disturbs",
-                    "out-dir",
-                ],
-            ) {
-                Ok(flags) => flags,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            };
-            for (key, value) in flags {
-                let parsed: Result<(), String> = (|| {
-                    match key {
-                        "schedules" => opts.cfg.schedules = parse_num(key, value)?,
-                        "seed" => opts.cfg.seed = parse_num(key, value)?,
-                        "jobs" => match parse_num::<usize>(key, value)? {
-                            0 => opts.jobs = sim_core::parallel::default_jobs(),
-                            n => opts.jobs = n,
-                        },
-                        "events" => {
-                            opts.events = value
-                                .split(',')
-                                .map(|s| {
-                                    torture::matrix::event_by_mnemonic(s.trim())
-                                        .ok_or_else(|| format!("unknown event {s:?}"))
-                                })
-                                .collect::<Result<_, _>>()?
-                        }
-                        "methods" => {
-                            opts.methods = value
-                                .split(',')
-                                .map(|s| {
-                                    torture::matrix::AccessMethod::parse(s.trim())
-                                        .ok_or_else(|| format!("unknown method {s:?}"))
-                                })
-                                .collect::<Result<_, _>>()?
-                        }
-                        "disturbs" => {
-                            opts.disturbs = value
-                                .split(',')
-                                .map(|s| {
-                                    torture::matrix::Disturb::parse(s.trim())
-                                        .ok_or_else(|| format!("unknown disturbance {s:?}"))
-                                })
-                                .collect::<Result<_, _>>()?
-                        }
-                        "out-dir" => opts.out_dir = value.to_string(),
-                        _ => unreachable!(),
-                    }
-                    Ok(())
-                })();
-                if let Err(e) = parsed {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            match trust_cmd::run(&opts) {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => ExitCode::FAILURE,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("torture") => match torture_cmd(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage();
-                ExitCode::FAILURE
-            }
-        },
-        Some("trace") => {
-            let Some(which) = args.get(1) else {
-                usage();
-                return ExitCode::FAILURE;
-            };
-            let mut opts = trace::TraceOptions::default();
-            let flags = match parse_flags(&args[2..], &["out-dir", "buf-slots", "categories"]) {
-                Ok(flags) => flags,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            };
-            for (key, value) in flags {
-                let parsed: Result<(), String> = (|| {
-                    match key {
-                        "out-dir" => opts.out_dir = value.to_string(),
-                        "buf-slots" => opts.buf_slots = parse_num(key, value)?,
-                        "categories" => opts.categories = flight::Categories::parse(value)?,
-                        _ => unreachable!(),
-                    }
-                    Ok(())
-                })();
-                if let Err(e) = parsed {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            match trace::run(which, &opts) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("check-trace") => {
-            let Some(path) = args.get(1) else {
-                usage();
-                return ExitCode::FAILURE;
-            };
-            match trace::check(path) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("check-telemetry") => {
-            let Some(path) = args.get(1) else {
-                usage();
-                return ExitCode::FAILURE;
-            };
-            match monitor::check(path) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        _ => {
-            usage();
-            ExitCode::FAILURE
-        }
+        Command::Trace(workload, cfg, out_dir) => trace::run(&workload, cfg, &out_dir)?,
+        Command::CheckTrace(path) => trace::check(&path)?,
     }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = env::args().skip(1).collect();
+    let cmd = match parse(&args) {
+        Ok(cmd) => cmd,
+        Err(e) => {
+            eprintln!("error: {e}");
+            usage();
+            return ExitCode::FAILURE;
+        }
+    };
+    run(cmd).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 #[cfg(test)]

@@ -35,14 +35,9 @@ const EVENT_NAMES: [&str; 3] = ["cycles", "instrs", "llc"];
 /// — and the I/O conservation invariant: on loss-free lines, a region's
 /// summed device waits can never exceed its cycle sum, because the kernel
 /// charges every wait into the region's cycle accumulator at wake.
-/// Schema-1 (no `instance`) and schema-2 (no `io`) files remain valid
-/// input to `check-telemetry`. (Schemas 3 and 4 belong to `whatif` and
-/// `trust`.)
+/// `check-telemetry` accepts only this schema for monitor and fleet files.
+/// (Schemas 3 and 4 belong to `whatif` and `trust`.)
 pub const SCHEMA: u64 = 5;
-
-/// Legacy monitor/fleet schema (pre-I/O): accepted by `check-telemetry`,
-/// no longer written.
-pub const LEGACY_SCHEMA: u64 = 2;
 
 /// NDJSON schema version written by the `whatif` subcommand: one line
 /// per region x arm (baseline lines first), validated by the schema-3
@@ -241,7 +236,7 @@ pub fn run(workload: &str, opts: &MonitorOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// Per-stream progress state inside `check`: schema-2 files interleave
+/// Per-stream progress state inside `check`: fleet files interleave
 /// one stream per instance (plus the `"fleet"` roll-up), each with its
 /// own monotone seq/drained sequence.
 struct StreamState {
@@ -252,7 +247,7 @@ struct StreamState {
 }
 
 /// `limit-repro check-telemetry <file>`: validates an NDJSON stream
-/// written by `monitor` or `fleet` — per-line schema (v1 or v2),
+/// written by `monitor` or `fleet` — per-line schema,
 /// per-instance monotone progress, the transport-accounting invariant on
 /// every line, and (for fleet files) conservation between the fleet
 /// roll-up line and the sum of the per-instance lines. Schema-3 files
@@ -286,24 +281,22 @@ pub fn check(path: &str) -> Result<(), String> {
                 .ok_or_else(|| format!("{path}:{n}: missing numeric field {key:?}"))
         };
         let schema = field("schema")?;
-        // v1: no instance field, one implicit stream. v2/v5: instance is
-        // a numeric id or the string "fleet". v5 additionally carries the
-        // per-region io array.
-        let key = match schema {
-            1 => String::new(),
-            LEGACY_SCHEMA | SCHEMA => match doc.get("instance") {
-                Some(v) => match (v.as_u64(), v.as_str()) {
-                    (Some(id), _) => id.to_string(),
-                    (None, Some("fleet")) => "fleet".to_string(),
-                    _ => {
-                        return Err(format!(
-                            "{path}:{n}: instance must be a number or \"fleet\""
-                        ))
-                    }
-                },
-                None => return Err(format!("{path}:{n}: schema {schema} line missing instance")),
+        if schema != SCHEMA {
+            return Err(format!("{path}:{n}: unsupported schema {schema}"));
+        }
+        // The instance is a numeric id, or the string "fleet" on the
+        // fleet roll-up line.
+        let key = match doc.get("instance") {
+            Some(v) => match (v.as_u64(), v.as_str()) {
+                (Some(id), _) => id.to_string(),
+                (None, Some("fleet")) => "fleet".to_string(),
+                _ => {
+                    return Err(format!(
+                        "{path}:{n}: instance must be a number or \"fleet\""
+                    ))
+                }
             },
-            _ => return Err(format!("{path}:{n}: unsupported schema {schema}")),
+            None => return Err(format!("{path}:{n}: schema {schema} line missing instance")),
         };
         let seq = field("seq")?;
         let drained = field("drained")?;
@@ -353,40 +346,39 @@ pub fn check(path: &str) -> Result<(), String> {
                     }
                 }
             }
-            if schema == SCHEMA {
-                let io = r.get("io").and_then(Json::as_array).ok_or_else(|| {
-                    format!("{path}:{n}: schema {SCHEMA} region missing io array")
-                })?;
-                for d in io {
-                    for key in ["device", "calls", "wait", "slow", "hist"] {
-                        if d.get(key).is_none() {
-                            return Err(format!("{path}:{n}: io entry missing {key:?}"));
-                        }
+            let io = r
+                .get("io")
+                .and_then(Json::as_array)
+                .ok_or_else(|| format!("{path}:{n}: schema {SCHEMA} region missing io array"))?;
+            for d in io {
+                for key in ["device", "calls", "wait", "slow", "hist"] {
+                    if d.get(key).is_none() {
+                        return Err(format!("{path}:{n}: io entry missing {key:?}"));
                     }
-                    let device = d.get("device").and_then(Json::as_str).unwrap_or("");
-                    if !DEVICE_NAMES.contains(&device) {
-                        return Err(format!("{path}:{n}: unknown io device {device:?}"));
-                    }
-                    let calls = d.get("calls").and_then(Json::as_u64).unwrap_or(0);
-                    let slow = d.get("slow").and_then(Json::as_u64).unwrap_or(0);
-                    if slow > calls {
-                        return Err(format!(
-                            "{path}:{n}: io device {device}: {slow} slow calls > {calls} calls"
-                        ));
-                    }
-                    // The io wait histogram buckets every call once.
-                    let total: u64 = d
-                        .get("hist")
-                        .and_then(Json::as_array)
-                        .unwrap_or(&[])
-                        .iter()
-                        .filter_map(|b| b.as_array()?.get(2)?.as_u64())
-                        .sum();
-                    if total != calls {
-                        return Err(format!(
-                            "{path}:{n}: io device {device}: histogram totals {total} != calls {calls}"
-                        ));
-                    }
+                }
+                let device = d.get("device").and_then(Json::as_str).unwrap_or("");
+                if !DEVICE_NAMES.contains(&device) {
+                    return Err(format!("{path}:{n}: unknown io device {device:?}"));
+                }
+                let calls = d.get("calls").and_then(Json::as_u64).unwrap_or(0);
+                let slow = d.get("slow").and_then(Json::as_u64).unwrap_or(0);
+                if slow > calls {
+                    return Err(format!(
+                        "{path}:{n}: io device {device}: {slow} slow calls > {calls} calls"
+                    ));
+                }
+                // The io wait histogram buckets every call once.
+                let total: u64 = d
+                    .get("hist")
+                    .and_then(Json::as_array)
+                    .unwrap_or(&[])
+                    .iter()
+                    .filter_map(|b| b.as_array()?.get(2)?.as_u64())
+                    .sum();
+                if total != calls {
+                    return Err(format!(
+                        "{path}:{n}: io device {device}: histogram totals {total} != calls {calls}"
+                    ));
                 }
             }
         }
@@ -421,12 +413,9 @@ pub fn check(path: &str) -> Result<(), String> {
     // Every stream's final snapshot must have drained everything.
     for (key, st) in &streams {
         if st.last.get("in_flight").and_then(Json::as_u64) != Some(0) {
-            let who = if key.is_empty() {
-                "final snapshot".to_string()
-            } else {
-                format!("instance {key} final snapshot")
-            };
-            return Err(format!("{path}: {who} left records in flight"));
+            return Err(format!(
+                "{path}: instance {key} final snapshot left records in flight"
+            ));
         }
     }
     // I/O conservation: every wait is charged into the waiter's cycle
@@ -438,9 +427,6 @@ pub fn check(path: &str) -> Result<(), String> {
     // cycle side while the kernel-folded io side survives.
     for (key, st) in &streams {
         let doc = &st.last;
-        if doc.get("schema").and_then(Json::as_u64) != Some(SCHEMA) {
-            continue;
-        }
         let lossless = doc.get("dropped").and_then(Json::as_u64) == Some(0)
             && doc.get("overwritten").and_then(Json::as_u64) == Some(0);
         if !lossless {
@@ -462,13 +448,8 @@ pub fn check(path: &str) -> Result<(), String> {
                 .unwrap_or(0);
             if io_wait > cycles {
                 let name = r.get("name").and_then(Json::as_str).unwrap_or("?");
-                let who = if key.is_empty() {
-                    String::new()
-                } else {
-                    format!(" (instance {key})")
-                };
                 return Err(format!(
-                    "{path}: io conservation violated in final snapshot{who}: region \
+                    "{path}: io conservation violated in final snapshot (instance {key}): region \
                      {name:?} has {io_wait} wait cycles > {cycles} region cycles on a \
                      loss-free stream"
                 ));
@@ -587,9 +568,11 @@ fn check_whatif(path: &str, text: &str) -> Result<(), String> {
             if !arms.contains(&arm) {
                 arms.push(arm.clone());
             }
-            if knob_scaled <= knob_base {
+            // Arms may scale a knob up or down; one that did not move
+            // perturbed nothing.
+            if knob_scaled == knob_base {
                 return Err(format!(
-                    "{path}:{n}: arm {arm:?} knob not scaled up ({knob_base} -> {knob_scaled})"
+                    "{path}:{n}: arm {arm:?} knob did not move ({knob_base} -> {knob_scaled})"
                 ));
             }
             match baseline.get(&region) {
@@ -766,7 +749,7 @@ mod tests {
     }
 
     #[test]
-    fn check_accepts_legacy_schema2_without_io() {
+    fn check_rejects_legacy_schema2() {
         let lines: Vec<String> = (1..=3)
             .map(|s| {
                 format!(
@@ -775,7 +758,34 @@ mod tests {
                 )
             })
             .collect();
-        run_check("legacy", &lines).unwrap();
+        let err = run_check("legacy", &lines).unwrap_err();
+        assert!(err.contains("unsupported schema 2"), "{err}");
+    }
+
+    /// A schema-3 what-if line for region `r` under `arm`.
+    fn whatif_line(arm: &str, knob_base: u64, knob_scaled: u64) -> String {
+        format!(
+            r#"{{"schema":3,"workload":"mysqld","arm":"{arm}","scale":0.5,"knob_base":{knob_base},"knob_scaled":{knob_scaled},"region":"r","count":2,"cycles":100,"base_count":2,"base_cycles":100,"sensitivity":0,"impact":0}}"#
+        )
+    }
+
+    #[test]
+    fn check_whatif_accepts_a_down_scaled_knob() {
+        let lines = [
+            whatif_line("baseline", 0, 0),
+            whatif_line("atomic-penalty", 10, 5),
+        ];
+        run_check("whatif-down", &lines).unwrap();
+    }
+
+    #[test]
+    fn check_whatif_rejects_an_unmoved_knob() {
+        let lines = [
+            whatif_line("baseline", 0, 0),
+            whatif_line("atomic-penalty", 10, 10),
+        ];
+        let err = run_check("whatif-unmoved", &lines).unwrap_err();
+        assert!(err.contains("knob did not move"), "{err}");
     }
 
     #[test]

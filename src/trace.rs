@@ -6,7 +6,7 @@
 //! the Chrome export's host track.
 
 use bench::spans;
-use flight::{Categories, FlightConfig, HostSpan};
+use flight::{FlightConfig, HostSpan};
 use limit::harness::{Session, SessionBuilder};
 use limit::LimitReader;
 use sim_core::json::Json;
@@ -20,27 +20,27 @@ const EVENTS: [EventKind; 3] = [
     EventKind::LlcMisses,
 ];
 
-/// Knobs of a traced run (all have CLI flags).
-#[derive(Debug, Clone)]
-pub struct TraceOptions {
-    /// Directory receiving `trace-<workload>.ndjson` / `.json`.
-    pub out_dir: String,
-    /// Per-core ring capacity in events (power of two). The default is
-    /// sized so a full default-config workload run retains every event —
-    /// `check` rejects truncated traces.
-    pub buf_slots: u64,
-    /// Event categories to record.
-    pub categories: Categories,
-}
+/// Default per-core ring capacity in events, sized so a full
+/// default-config workload run retains every event — `check` rejects
+/// truncated traces.
+pub const DEFAULT_BUF_SLOTS: usize = 1 << 20;
 
-impl Default for TraceOptions {
-    fn default() -> Self {
-        TraceOptions {
-            out_dir: "results".to_string(),
-            buf_slots: 1 << 20,
-            categories: Categories::ALL,
-        }
+/// Largest accepted `--buf-slots`: every core allocates its ring up front,
+/// so the ceiling keeps a typo from requesting more memory than exists.
+pub const MAX_BUF_SLOTS: usize = 1 << 24;
+
+/// Rejects a `--buf-slots` value that is not a power of two or exceeds
+/// [`MAX_BUF_SLOTS`].
+fn check_buf_slots(slots: usize) -> Result<(), String> {
+    if !slots.is_power_of_two() {
+        return Err(format!("--buf-slots must be a power of two, got {slots}"));
     }
+    if slots > MAX_BUF_SLOTS {
+        return Err(format!(
+            "--buf-slots must be at most {MAX_BUF_SLOTS}, got {slots}"
+        ));
+    }
+    Ok(())
 }
 
 /// Simulated cores for a default-shape run (`trace`, `stat`): the event
@@ -120,22 +120,14 @@ pub fn export_session(session: &Session, stem: &str, out_dir: &str) -> Result<()
     Ok(())
 }
 
-/// Runs the trace command end to end.
-pub fn run(workload: &str, opts: &TraceOptions) -> Result<(), String> {
-    if !opts.buf_slots.is_power_of_two() {
-        return Err(format!(
-            "--buf-slots must be a power of two, got {}",
-            opts.buf_slots
-        ));
-    }
+/// Runs the trace command end to end, writing into `out_dir`.
+pub fn run(workload: &str, cfg: FlightConfig, out_dir: &str) -> Result<(), String> {
+    check_buf_slots(cfg.buf_slots)?;
     let build_span = spans::start(format!("trace/build-{workload}"));
     let mut session = build_session(workload)?;
     build_span.finish();
 
-    session.enable_flight(FlightConfig {
-        buf_slots: opts.buf_slots as usize,
-        categories: opts.categories,
-    });
+    session.enable_flight(cfg);
     let run_span = spans::start(format!("trace/run-{workload}"));
     let result = session.run();
     run_span.finish();
@@ -147,7 +139,7 @@ pub fn run(workload: &str, opts: &TraceOptions) -> Result<(), String> {
             // export the partial timeline so it can be used to debug the
             // fault, then surface the error.
             let stem = format!("trace-{workload}-faulted");
-            return match export_session(&session, &stem, &opts.out_dir) {
+            return match export_session(&session, &stem, out_dir) {
                 Ok(()) => Err(format!(
                     "{workload} faulted mid-run: {e} (partial trace exported)"
                 )),
@@ -170,7 +162,7 @@ pub fn run(workload: &str, opts: &TraceOptions) -> Result<(), String> {
             report.warnings.unfixed_races
         );
     }
-    export_session(&session, &format!("trace-{workload}"), &opts.out_dir)
+    export_session(&session, &format!("trace-{workload}"), out_dir)
 }
 
 /// `limit-repro check-trace <file>`: validates a flight trace. NDJSON
@@ -296,8 +288,18 @@ pub fn parse_replay_spec(value: &str) -> Result<(u64, u64), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flight::Categories;
     use limit::harness::SessionBuilder;
     use sim_cpu::Reg;
+
+    #[test]
+    fn buf_slots_above_the_ceiling_are_rejected_before_allocating() {
+        assert!(check_buf_slots(DEFAULT_BUF_SLOTS).is_ok());
+        assert!(check_buf_slots(MAX_BUF_SLOTS).is_ok());
+        let err = check_buf_slots(1 << 62).unwrap_err();
+        assert!(err.contains("at most"), "{err}");
+        assert!(check_buf_slots(3).unwrap_err().contains("power of two"));
+    }
 
     /// The trace command's fault path: a guest fault aborts the run, but
     /// the flight timeline recorded up to the fault must still export and

@@ -13,35 +13,9 @@
 //! that is the virtualization layer's core promise, and CI smokes it.
 
 use sim_core::json::Json;
-use sim_cpu::EventKind;
 use torture::matrix::{
-    enumerate_cells, render_report, run_cell, AccessMethod, CellReport, Disturb, MatrixConfig,
-    Verdict,
+    render_report, run_cell, AccessMethod, Cell, CellReport, MatrixConfig, Verdict,
 };
-
-/// Knobs of a trust run (all have CLI flags).
-#[derive(Debug, Clone)]
-pub struct TrustOptions {
-    pub cfg: MatrixConfig,
-    pub jobs: usize,
-    pub events: Vec<EventKind>,
-    pub methods: Vec<AccessMethod>,
-    pub disturbs: Vec<Disturb>,
-    pub out_dir: String,
-}
-
-impl Default for TrustOptions {
-    fn default() -> Self {
-        TrustOptions {
-            cfg: MatrixConfig::default(),
-            jobs: 1,
-            events: EventKind::ALL.to_vec(),
-            methods: AccessMethod::ALL.to_vec(),
-            disturbs: Disturb::ALL.to_vec(),
-            out_dir: "results".to_string(),
-        }
-    }
-}
 
 fn ndjson_line(r: &CellReport) -> Json {
     Json::object()
@@ -59,20 +33,21 @@ fn ndjson_line(r: &CellReport) -> Json {
         .set("verdict", r.verdict.label())
 }
 
-/// Runs the selected matrix slice. Returns `Ok(true)` when every
-/// `rdpmc-fixup` cell came back exact.
-pub fn run(opts: &TrustOptions) -> Result<bool, String> {
-    let cells = enumerate_cells(&opts.events, &opts.methods, &opts.disturbs);
-    if cells.is_empty() {
-        return Err("empty matrix slice — nothing selected".to_string());
-    }
-    let reports = sim_core::parallel::parmap_with(opts.jobs, cells, |cell| {
+/// Runs the selected matrix slice on `jobs` host workers. Returns
+/// `Ok(true)` when every `rdpmc-fixup` cell came back exact.
+pub fn run(
+    cfg: &MatrixConfig,
+    cells: Vec<Cell>,
+    jobs: usize,
+    out_dir: &str,
+) -> Result<bool, String> {
+    let reports = sim_core::parallel::parmap_with(jobs, cells, |cell| {
         let span = bench::spans::start(format!(
             "trust/{}/{}",
             cell.event.mnemonic(),
             cell.method.name()
         ));
-        let r = run_cell(&opts.cfg, cell);
+        let r = run_cell(cfg, cell);
         span.finish();
         r
     })
@@ -109,20 +84,19 @@ pub fn run(opts: &TrustOptions) -> Result<bool, String> {
         reports.len()
     );
 
-    std::fs::create_dir_all(&opts.out_dir)
-        .map_err(|e| format!("cannot create {}: {e}", opts.out_dir))?;
+    std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
     let ndjson: String = reports
         .iter()
         .map(|r| ndjson_line(r).compact() + "\n")
         .collect();
-    let matrix_path = format!("{}/trust-matrix.json", opts.out_dir);
+    let matrix_path = format!("{out_dir}/trust-matrix.json");
     std::fs::write(&matrix_path, ndjson).map_err(|e| format!("cannot write {matrix_path}: {e}"))?;
     println!("wrote {matrix_path}");
 
     let timings = bench::spans::drain();
     let summary = Json::object()
         .set("schema", 1u64)
-        .set("jobs", opts.jobs)
+        .set("jobs", jobs)
         .set("cells", reports.len())
         .set("exact", exact)
         .set("bounded_error", bounded)
@@ -141,7 +115,7 @@ pub fn run(opts: &TrustOptions) -> Result<bool, String> {
                     .collect(),
             ),
         );
-    let summary_path = format!("{}/trust-summary.json", opts.out_dir);
+    let summary_path = format!("{out_dir}/trust-summary.json");
     std::fs::write(&summary_path, summary.pretty())
         .map_err(|e| format!("cannot write {summary_path}: {e}"))?;
     Ok(fixup_ok)

@@ -15,105 +15,7 @@
 //! `base_cycles` agree with the baseline line for that region.
 
 use sim_core::json::Json;
-use whatif::{Knob, WhatifConfig, WhatifReport};
-use workloads::Spec;
-
-/// Knobs of a whatif run (all have CLI flags).
-#[derive(Debug, Clone)]
-pub struct WhatifOptions {
-    /// Guest worker threads (also the simulated core count).
-    pub threads: usize,
-    /// Queries (mysqld) / operations (memcached) per guest worker.
-    pub queries: u64,
-    /// Comma-separated knob names; `None` perturbs every knob.
-    pub knobs: Option<String>,
-    /// Factor each arm's knob is scaled by.
-    pub scale: f64,
-    /// Host worker threads for the arm fan-out.
-    pub jobs: usize,
-    /// Per-thread ring capacity (power of two).
-    pub capacity: u64,
-    /// Telemetry drain cadence in guest cycles.
-    pub interval: u64,
-    /// Memcached lock stripes (1 = one global lock).
-    pub stripes: Option<u64>,
-    /// Memcached hash-table buckets.
-    pub buckets: Option<u64>,
-    /// Memcached in-section atomic RMWs (refcount/stats).
-    pub hold_rmws: Option<u64>,
-    /// Mysqld buffer-pool size in bytes.
-    pub bufpool: Option<u64>,
-    /// Directory receiving `whatif-<workload>.json`.
-    pub out_dir: String,
-}
-
-impl Default for WhatifOptions {
-    fn default() -> Self {
-        let base = WhatifConfig::new(Spec::Mysqld(Default::default()));
-        WhatifOptions {
-            threads: base.threads,
-            queries: base.queries,
-            knobs: None,
-            scale: base.scale,
-            jobs: base.jobs,
-            capacity: base.capacity,
-            interval: base.interval,
-            stripes: None,
-            buckets: None,
-            hold_rmws: None,
-            bufpool: None,
-            out_dir: "results".to_string(),
-        }
-    }
-}
-
-/// The workload's compact config with the shape flags applied. A flag
-/// the workload has no field for is an error naming the workload it
-/// applies to, never a silent no-op.
-fn to_spec(workload: &str, opts: &WhatifOptions) -> Result<Spec, String> {
-    let mut spec = Spec::parse(workload).map_err(|e| e.to_string())?.compact();
-    let name = spec.name();
-    let overrides = [
-        ("stripes", opts.stripes, "memcached"),
-        ("buckets", opts.buckets, "memcached"),
-        ("hold-rmws", opts.hold_rmws, "memcached"),
-        ("bufpool", opts.bufpool, "mysqld"),
-    ];
-    for (flag, value, applies_to) in overrides {
-        let Some(value) = value else { continue };
-        match (&mut spec, flag) {
-            (Spec::Memcached(c), "stripes") => c.stripes = value,
-            (Spec::Memcached(c), "buckets") => c.buckets = value,
-            (Spec::Memcached(c), "hold-rmws") => c.hold_rmws = value,
-            (Spec::Mysqld(c), "bufpool") => c.bufpool_bytes = value,
-            _ => return Err(format!("--{flag} applies to {applies_to}, not {name}")),
-        }
-    }
-    Ok(spec)
-}
-
-fn to_config(workload: &str, opts: &WhatifOptions) -> Result<WhatifConfig, String> {
-    let mut cfg = WhatifConfig::new(to_spec(workload, opts)?);
-    cfg.threads = opts.threads;
-    cfg.queries = opts.queries;
-    cfg.scale = opts.scale;
-    cfg.jobs = opts.jobs;
-    cfg.capacity = opts.capacity;
-    cfg.interval = opts.interval;
-    cfg.params = limit::MachineParams::new(opts.threads.clamp(1, limit::params::MAX_CORES));
-    if let Some(list) = &opts.knobs {
-        let mut knobs = Vec::new();
-        for name in list.split(',').filter(|s| !s.is_empty()) {
-            let knob = Knob::parse(name).ok_or_else(|| {
-                let known: Vec<&str> = Knob::ALL.iter().map(|k| k.name()).collect();
-                format!("unknown knob {name:?} (known: {})", known.join(", "))
-            })?;
-            knobs.push(knob);
-        }
-        cfg.knobs = knobs;
-    }
-    Ok(cfg)
-}
+use whatif::{WhatifConfig, WhatifReport};
 
 /// One schema-3 NDJSON line: a region's counters under one arm, paired
 /// with its baseline values and the computed sensitivity.
@@ -212,9 +114,8 @@ pub fn render_ndjson(report: &WhatifReport) -> String {
     out
 }
 
-/// Runs the what-if engine and writes `<out-dir>/whatif-<workload>.json`.
-pub fn run(workload: &str, opts: &WhatifOptions) -> Result<(), String> {
-    let cfg = to_config(workload, opts)?;
+/// Runs the what-if engine and writes `<out_dir>/whatif-<workload>.json`.
+pub fn run(cfg: &WhatifConfig, out_dir: &str) -> Result<(), String> {
     eprintln!(
         "whatif: {} ({} threads x {} queries), {} knobs at scale {:.1}, {} host jobs",
         cfg.workload.name(),
@@ -225,7 +126,7 @@ pub fn run(workload: &str, opts: &WhatifOptions) -> Result<(), String> {
         cfg.jobs,
     );
 
-    let report = whatif::run_whatif(&cfg, |done, total| {
+    let report = whatif::run_whatif(cfg, |done, total| {
         eprintln!("whatif: {done}/{total} arms complete");
     })?;
 
@@ -251,9 +152,8 @@ pub fn run(workload: &str, opts: &WhatifOptions) -> Result<(), String> {
         }
     }
 
-    std::fs::create_dir_all(&opts.out_dir)
-        .map_err(|e| format!("cannot create {}: {e}", opts.out_dir))?;
-    let path = format!("{}/whatif-{}.json", opts.out_dir, report.workload);
+    std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
+    let path = format!("{out_dir}/whatif-{}.json", report.workload);
     std::fs::write(&path, render_ndjson(&report))
         .map_err(|e| format!("cannot write {path}: {e}"))?;
 
@@ -270,9 +170,22 @@ pub fn run(workload: &str, opts: &WhatifOptions) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::Spec;
 
-    fn rejects(workload: &str, opts: WhatifOptions, applies_to: &str) {
-        let err = to_config(workload, &opts).unwrap_err();
+    /// Parses `whatif <args>` through the CLI front end.
+    fn parse(args: &str) -> Result<WhatifConfig, String> {
+        let argv: Vec<String> = format!("whatif {args}")
+            .split_whitespace()
+            .map(str::to_string)
+            .collect();
+        match crate::parse(&argv)? {
+            crate::Command::Whatif(cfg, _) => Ok(*cfg),
+            _ => panic!("`whatif {args}` parsed as another command"),
+        }
+    }
+
+    fn rejects(workload: &str, flag: &str, applies_to: &str) {
+        let err = parse(&format!("{workload} {flag}")).unwrap_err();
         assert!(
             err.contains(&format!("applies to {applies_to}, not {workload}")),
             "{err:?}"
@@ -281,41 +194,25 @@ mod tests {
 
     #[test]
     fn stripes_outside_memcached_is_an_error() {
-        let opts = WhatifOptions {
-            stripes: Some(4),
-            ..Default::default()
-        };
-        rejects("mysqld", opts.clone(), "memcached");
-        let cfg = to_config("memcached", &opts).unwrap();
+        rejects("mysqld", "--stripes 4", "memcached");
+        let cfg = parse("memcached --stripes 4").unwrap();
         assert!(matches!(cfg.workload, Spec::Memcached(c) if c.stripes == 4));
     }
 
     #[test]
     fn buckets_outside_memcached_is_an_error() {
-        let opts = WhatifOptions {
-            buckets: Some(256),
-            ..Default::default()
-        };
-        rejects("logstore", opts, "memcached");
+        rejects("logstore", "--buckets 256", "memcached");
     }
 
     #[test]
     fn hold_rmws_outside_memcached_is_an_error() {
-        let opts = WhatifOptions {
-            hold_rmws: Some(16),
-            ..Default::default()
-        };
-        rejects("proxy", opts, "memcached");
+        rejects("proxy", "--hold-rmws 16", "memcached");
     }
 
     #[test]
     fn bufpool_outside_mysqld_is_an_error() {
-        let opts = WhatifOptions {
-            bufpool: Some(1 << 20),
-            ..Default::default()
-        };
-        rejects("memcached", opts.clone(), "mysqld");
-        let cfg = to_config("mysqld", &opts).unwrap();
+        rejects("memcached", "--bufpool 1048576", "mysqld");
+        let cfg = parse("mysqld --bufpool 1048576").unwrap();
         assert!(matches!(cfg.workload, Spec::Mysqld(c) if c.bufpool_bytes == 1 << 20));
     }
 }
